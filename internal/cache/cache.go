@@ -178,7 +178,7 @@ type Cache struct {
 	unforwarded []*mshrEntry
 
 	// wake counts externally delivered work (accepted enqueues and
-	// child-request completions); see WakeCount.
+	// child-request completions); see WakeCounter.
 	wake uint64
 
 	pool *mem.RequestPool
@@ -383,10 +383,11 @@ func (c *Cache) Enqueue(r *mem.Request) bool {
 	return true
 }
 
-// WakeCount is a monotonic counter of peer-delivered work: accepted
-// Enqueues and Completes. A scheduler holding the cache asleep past its
-// own NextEvent must re-arm it when the counter moves.
-func (c *Cache) WakeCount() uint64 { return c.wake }
+// WakeCounter returns the address of a monotonic counter of
+// peer-delivered work: accepted Enqueues and Completes. A scheduler
+// holding the cache asleep past its own NextEvent must re-arm it when
+// the counter moves; it keeps the address and reads it every visit.
+func (c *Cache) WakeCounter() *uint64 { return &c.wake }
 
 // Prefetch is the prefetcher-facing entry point: it wraps the target in
 // a request and enqueues it, returning false if the PQ is full.

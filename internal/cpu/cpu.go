@@ -138,7 +138,7 @@ type Core struct {
 
 	// wake counts externally delivered work (load completions). The
 	// event-driven engine re-examines the core's schedule whenever it
-	// moves; see WakeCount.
+	// moves; see WakeCounter.
 	wake uint64
 
 	// Bulk-decode buffer for sources supporting trace.BatchSource;
@@ -651,12 +651,13 @@ func (c *Core) Complete(r *mem.Request) {
 	c.pool.Put(r)
 }
 
-// WakeCount is a monotonic counter of peer-delivered work: it moves
-// whenever a load completion arrives. A scheduler holding the core
-// asleep past its own NextEvent must re-arm it when the counter moves
-// (or when the versioned load port's StateVersion moves — the one
-// unblocking event with no completion attached).
-func (c *Core) WakeCount() uint64 { return c.wake }
+// WakeCounter returns the address of a monotonic counter of
+// peer-delivered work: it moves whenever a load completion arrives. A
+// scheduler holding the core asleep past its own NextEvent must re-arm
+// it when the counter moves (or when the versioned load port's
+// StateVersion moves — the one unblocking event with no completion
+// attached).
+func (c *Core) WakeCounter() *uint64 { return &c.wake }
 
 // NextEvent reports the earliest future cycle at which the core has
 // work of its own. mem.NoEvent means every remaining step waits on an
@@ -747,11 +748,12 @@ func (c *Core) NextEvent(now mem.Cycle) mem.Cycle {
 }
 
 // SkipIdle integrates per-cycle core statistics for k skipped idle
-// cycles following cycle now (exact — see NextEvent): the cycle
-// counter always runs, and an LQ-blocked staged instruction counts an
-// LQFullCycles for every skipped cycle dispatch would have attempted
-// (those at or past stallUntil).
-func (c *Core) SkipIdle(now, k mem.Cycle) {
+// cycles following the core's current cycle (exact — see NextEvent):
+// the cycle counter always runs, and an LQ-blocked staged instruction
+// counts an LQFullCycles for every skipped cycle dispatch would have
+// attempted (those at or past stallUntil).
+func (c *Core) SkipIdle(k mem.Cycle) {
+	now := c.now
 	c.now = now + k
 	c.Stats.Cycles += uint64(k)
 	if c.hasStaged && c.lqFree == 0 && c.count < len(c.rob) {

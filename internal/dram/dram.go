@@ -62,7 +62,7 @@ type DRAM struct {
 	pool      *mem.RequestPool
 
 	// wake counts externally delivered work (accepted enqueues); see
-	// WakeCount.
+	// WakeCounter.
 	wake uint64
 
 	// Stats is the channel's counter block.
@@ -116,10 +116,11 @@ func (d *DRAM) Enqueue(r *mem.Request) bool {
 	return true
 }
 
-// WakeCount is a monotonic counter of peer-delivered work (accepted
-// Enqueues). A scheduler holding the channel asleep past its own
-// NextEvent must re-arm it when the counter moves.
-func (d *DRAM) WakeCount() uint64 { return d.wake }
+// WakeCounter returns the address of a monotonic counter of
+// peer-delivered work (accepted Enqueues). A scheduler holding the
+// channel asleep past its own NextEvent must re-arm it when the counter
+// moves.
+func (d *DRAM) WakeCounter() *uint64 { return &d.wake }
 
 // Tick advances the channel one cycle.
 func (d *DRAM) Tick(now mem.Cycle) {

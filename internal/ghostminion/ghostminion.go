@@ -140,7 +140,7 @@ type GM struct {
 	filter    Filter
 
 	// wake counts externally delivered work (accepted loads, probe
-	// completions, commits, squashes); see WakeCount.
+	// completions, commits, squashes); see WakeCounter.
 	wake uint64
 
 	// retryq holds loads displaced by leapfrogging, awaiting re-issue.
@@ -295,11 +295,11 @@ func (g *GM) IssueLoad(r *mem.Request) bool {
 	return true
 }
 
-// WakeCount is a monotonic counter of peer-delivered work: accepted
-// loads, probe completions, commits, and squashes. A scheduler holding
-// the GM asleep past its own NextEvent must re-arm it when the counter
-// moves.
-func (g *GM) WakeCount() uint64 { return g.wake }
+// WakeCounter returns the address of a monotonic counter of
+// peer-delivered work: accepted loads, probe completions, commits, and
+// squashes. A scheduler holding the GM asleep past its own NextEvent
+// must re-arm it when the counter moves.
+func (g *GM) WakeCounter() *uint64 { return &g.wake }
 
 // issueLoad implements IssueLoad; countStats is false for internal
 // re-issues of leapfrog-displaced loads (the architectural access was

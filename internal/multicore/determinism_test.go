@@ -63,29 +63,53 @@ func fp(r *multicore.Result) fingerprint {
 // TestParallelMatchesReference is the bit-identity gate: the parallel
 // engine and the serial lockstep reference must agree on the full
 // digest stream, the final state digests, and every per-core result.
+// The second row runs the same 4-core TSB+SUF mix ten times longer, so
+// the reference engine itself is checked to reach its target without
+// error or wedge on a run long enough to exercise the shared LLC/DRAM.
 func TestParallelMatchesReference(t *testing.T) {
-	cfg := detConfig()
-	recRef, recPar := observatory.NewRecorder(), observatory.NewRecorder()
-	ref, err := multicore.RunProbed(cfg, detMix(t), multicore.Probes{
-		ReferenceEngine: true, Digest: recRef, DigestEvery: 512,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := multicore.RunProbed(cfg, detMix(t), multicore.Probes{
-		Digest: recPar, DigestEvery: 512,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, bad := observatory.FirstDivergence(recRef, recPar); bad {
-		t.Fatalf("digest streams diverge: %s", d)
-	}
-	if recRef.Len() == 0 {
-		t.Fatal("digest stream empty — run too short to exercise the gate")
-	}
-	if !reflect.DeepEqual(fp(ref), fp(par)) {
-		t.Fatalf("results diverge:\nref %+v\npar %+v", fp(ref), fp(par))
+	long := detConfig()
+	long.Single.WarmupInstrs = 1000
+	long.Single.MaxInstrs = 10_000
+	for _, tc := range []struct {
+		name   string
+		cfg    multicore.Config
+		instrs int // trace length per core
+	}{
+		{"quick-mix", detConfig(), 3000},
+		{"tsb-suf-10k", long, 12_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.instrs > 3000 && testing.Short() {
+				t.Skip("simulation-heavy")
+			}
+			recRef, recPar := observatory.NewRecorder(), observatory.NewRecorder()
+			ref, err := multicore.RunProbed(tc.cfg, mixSources(t, detTraces, tc.instrs), multicore.Probes{
+				ReferenceEngine: true, Digest: recRef, DigestEvery: 512,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := multicore.RunProbed(tc.cfg, mixSources(t, detTraces, tc.instrs), multicore.Probes{
+				Digest: recPar, DigestEvery: 512,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, bad := observatory.FirstDivergence(recRef, recPar); bad {
+				t.Fatalf("digest streams diverge: %s", d)
+			}
+			if recRef.Len() == 0 {
+				t.Fatal("digest stream empty — run too short to exercise the gate")
+			}
+			if !reflect.DeepEqual(fp(ref), fp(par)) {
+				t.Fatalf("results diverge:\nref %+v\npar %+v", fp(ref), fp(par))
+			}
+			for i, rc := range ref.PerCore {
+				if rc.Instructions < uint64(tc.cfg.Single.MaxInstrs) {
+					t.Errorf("core %d retired %d of %d instructions", i, rc.Instructions, tc.cfg.Single.MaxInstrs)
+				}
+			}
+		})
 	}
 }
 

@@ -246,6 +246,7 @@ func NewEngine(cfg Config, mix []trace.Source, p Probes) (*Engine, error) {
 		for _, m := range sys.Cores {
 			m.UseReferenceEngine(true)
 		}
+		sys.Shared.UseReferenceEngine(true)
 	}
 	e.target = uint64(cfg.Single.WarmupInstrs)
 	if e.target == 0 {
@@ -266,14 +267,16 @@ func NewEngine(cfg Config, mix []trace.Source, p Probes) (*Engine, error) {
 	}
 	if p.Profile != nil {
 		p.Profile.EnsureRanks(sim.ShardProfileRanks[:])
-		for _, m := range sys.Cores {
+		newProfile := func() *observatory.Profile {
 			prof := observatory.NewProfile(sim.ShardProfileRanks[:]...)
-			m.AttachShardProfile(prof)
+			prof.WallSampleEvery = p.Profile.WallSampleEvery
 			e.profiles = append(e.profiles, prof)
+			return prof
 		}
-		shProf := observatory.NewProfile(sim.ShardProfileRanks[:]...)
-		sys.Shared.AttachProfile(shProf)
-		e.profiles = append(e.profiles, shProf)
+		for _, m := range sys.Cores {
+			m.AttachShardProfile(newProfile())
+		}
+		sys.Shared.AttachProfile(newProfile())
 		e.finalProfile = p.Profile
 	}
 	if p.Interference {
@@ -520,13 +523,15 @@ func (e *Engine) stepEpoch(limit mem.Cycle) error {
 
 // stepLockstep is the reference engine: one cycle, every component,
 // reference order (each core's private stack, then the shared drain,
-// LLC, and DRAM), with the same phase staging evaluated per cycle.
+// LLC, and DRAM), with the same phase staging evaluated per cycle. The
+// domains run on their lockstep kernels, so each advance is one
+// stepAll.
 func (e *Engine) stepLockstep() error {
 	u := e.now + 1
 	for _, m := range e.sys.Cores {
-		m.StepCore(u)
+		m.AdvanceCore(u, 0)
 	}
-	e.sys.Shared.LockstepCycle(u)
+	e.sys.Shared.Advance(u)
 	e.now = u
 
 	if e.tracker != nil {

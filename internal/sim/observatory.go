@@ -25,8 +25,8 @@ var ComponentNames = [...]string{"core", "gm", "l1d", "l2", "llc", "dram", "tlb"
 // NumComponents is the digest vector length.
 const NumComponents = len(ComponentNames)
 
-// rankNames names the calendar-queue ranks for attribution profiling,
-// in rank order.
+// rankNames names the attribution slots of single-core and SMT
+// profiles (the prof* indices in engine.go).
 var rankNames = [...]string{"core", "gm", "l1d", "l2", "llc", "dram"}
 
 // PrivateComponentNames orders the per-core slice of a sharded
@@ -54,14 +54,6 @@ func MulticoreComponentNames(n int) []string {
 // Probes.DigestEvery is zero.
 const DefaultDigestEvery mem.Cycle = 4096
 
-// Now returns the machine's current cycle.
-func (m *Machine) Now() mem.Cycle { return m.now }
-
-// UseReferenceEngine selects between the calendar-queue event engine
-// (false, the default) and the lockstep tick-every-cycle reference
-// engine the equivalence machinery compares against.
-func (m *Machine) UseReferenceEngine(on bool) { m.noSkip = on }
-
 // StateDigests appends the per-component architectural-state digests
 // (ComponentNames order) to dst and returns it. Two engines that have
 // executed the same machine to the same cycle must produce equal
@@ -83,19 +75,6 @@ func (m *Machine) StateDigests(dst []uint64) []uint64 {
 		comps[7] = m.bertiPF.StateDigest()
 	}
 	return append(dst, comps[:]...)
-}
-
-// attachProfile arms engine-attribution profiling. Nil leaves the run
-// unprofiled (the hot paths pay one nil check per rank slot).
-func (m *Machine) attachProfile(p *observatory.Profile) {
-	if p == nil {
-		return
-	}
-	p.EnsureRanks(rankNames[:])
-	if p.EngineVersion == "" {
-		p.EngineVersion = EngineVersion
-	}
-	m.prof = p
 }
 
 // armDigests arms the rolling digest stream: the run emits the
@@ -139,60 +118,13 @@ func (m *Machine) emitDigests() {
 // whether the workload is done. It implements observatory.DigestEngine:
 // the divergence bisector drives two machines through interleaved
 // RunToCycle calls, comparing StateDigests between them. Repeated calls
-// with increasing targets continue the same run; the calendar is
-// re-primed on each call so the engine state is correct regardless of
-// what ran in between.
+// with increasing targets continue the same run (and its wedge
+// detector); the calendar is re-primed on each call so the engine state
+// is correct regardless of what ran in between.
 func (m *Machine) RunToCycle(t mem.Cycle) (mem.Cycle, bool, error) {
-	if m.noSkip {
-		for m.now < t && !m.core.Done() {
-			m.step()
-			if m.digSink != nil && m.now >= m.digNext {
-				m.emitDigests()
-			}
-			if err := m.trackProgress(); err != nil {
-				return m.now, false, err
-			}
-		}
-		return m.now, m.core.Done(), nil
-	}
-	if m.now < t && !m.core.Done() {
-		m.primeSchedule()
-	}
-	for m.now < t && !m.core.Done() {
-		next := m.evq.Next()
-		clamped := false
-		if next > t {
-			next, clamped = t, true
-		}
-		if m.digSink != nil && next > m.digNext {
-			next, clamped = m.digNext, true
-		}
-		if limit := m.rtProgress + wedgeWindow + 1; next > limit {
-			next, clamped = limit, true
-		}
-		m.advanceTo(next)
-		if m.prof != nil {
-			m.prof.Advance(clamped)
-		}
-		if m.digSink != nil && m.now >= m.digNext {
-			m.emitDigests()
-		}
-		if err := m.trackProgress(); err != nil {
-			return m.now, false, err
-		}
+	err := m.run(span{to: t, wedge: true, m: m})
+	if err != nil {
+		return m.now, false, err
 	}
 	return m.now, m.core.Done(), nil
-}
-
-// trackProgress is RunToCycle's wedge detector: it remembers the last
-// cycle an instruction retired and fails once the machine has spun a
-// full wedge window without one.
-func (m *Machine) trackProgress() error {
-	if n := m.core.Stats.Instructions; n != m.rtCount {
-		m.rtCount = n
-		m.rtProgress = m.now
-	} else if m.now-m.rtProgress > wedgeWindow {
-		return ErrNoProgress
-	}
-	return nil
 }

@@ -148,6 +148,20 @@ func (m *Machine) sampleWindow() {
 	}
 }
 
+// checkWindow samples the armed window series when the retired
+// instruction count crossed the next boundary. The run loop calls it at
+// every visited cycle; instructions only retire on core ticks, so the
+// crossing cycle is always visited and the sample point is engine-,
+// worker- and interval-invariant.
+func (m *Machine) checkWindow() {
+	if m.core.Stats.Instructions >= m.winNext {
+		m.sampleWindow()
+		for m.core.Stats.Instructions >= m.winNext {
+			m.winNext += m.winEvery
+		}
+	}
+}
+
 // flushWindow emits the final (usually partial) window at run end.
 func (m *Machine) flushWindow() {
 	if m.winObs != nil && m.core.Stats.Instructions > m.winLast {
@@ -169,7 +183,7 @@ func RunProbed(cfg Config, src trace.Source, p Probes) (*Result, error) {
 		m.noSkip = true
 	}
 	m.attachObserver(p.Observer)
-	m.attachProfile(p.Profile)
+	m.attachProfile(p.Profile, rankNames[:])
 	m.armDigests(p.Digest, p.DigestEvery)
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {

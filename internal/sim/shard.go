@@ -19,7 +19,6 @@ import (
 	seccore "secpref/internal/core"
 	"secpref/internal/cpu"
 	"secpref/internal/dram"
-	"secpref/internal/event"
 	"secpref/internal/ghostminion"
 	"secpref/internal/mem"
 	"secpref/internal/observatory"
@@ -33,25 +32,11 @@ import (
 // interval.
 const DefaultLinkLatency mem.Cycle = 24
 
-// rankLink is the link's slot in a private core system's calendar: it
-// occupies the position the LLC holds in the single-core rank order
-// (core < GM < L1D < L2 < link), so cross-component clock reads behave
-// exactly as they do in the lockstep reference.
-const rankLink = rankLLC
-
 // ShardProfileRanks names the attribution ranks of a sharded multicore
 // run. Indices 0-5 match the single-core vocabulary (so campaign
 // aggregates mixing single- and multi-core runs line up); the link is
 // appended as rank 6.
 var ShardProfileRanks = [...]string{"core", "gm", "l1d", "l2", "llc", "dram", "link"}
-
-// profileRank maps a private calendar rank to its attribution index.
-func profileRank(r int) int {
-	if r == rankLink {
-		return 6
-	}
-	return r
-}
 
 // linkEntry is one buffered request: at is the issue cycle on the
 // outbound path and the visibility cycle on the inbound path.
@@ -73,12 +58,17 @@ type ownerSlot struct {
 // in-drains; the shared side (drain and completions) touches out-drains
 // and in-appends. The two sides run in alternating phases separated by
 // barriers, so no field needs a lock.
+//
+// On the core side the link is the last rank of its core's private
+// table: Tick injects, NextEvent reports the next injection. Nothing
+// pokes it from inside the table (its wake counter never moves) and it has no
+// idle work to integrate; responses arrive from the shared domain
+// between runs, so its rank is re-primed at every run.
 type CoreLink struct {
 	core   int // owning core's index, stamped onto outbound requests
 	lat    mem.Cycle
 	shared *SharedDomain // for the response-visibility stamp
-
-	now mem.Cycle // core-domain clock, stamped onto outbound requests
+	clock  *mem.Cycle    // the core domain's kernel clock, stamped onto outbound requests
 
 	// kindCounts tallies outbound requests by mem.Kind — the per-core
 	// shared-link traffic the interference observatory samples at
@@ -109,7 +99,7 @@ type CoreLink struct {
 func (l *CoreLink) Enqueue(r *mem.Request) bool {
 	r.Core = l.core
 	l.kindCounts[r.Kind]++
-	l.out = append(l.out, linkEntry{at: l.now, req: r})
+	l.out = append(l.out, linkEntry{at: *l.clock, req: r})
 	return true
 }
 
@@ -183,9 +173,9 @@ func (l *CoreLink) Complete(r *mem.Request) {
 	l.in = append(l.in, linkEntry{at: l.shared.now + l.lat, req: r})
 }
 
-// NextInject reports the earliest future cycle an inbound response
+// NextEvent reports the earliest future cycle an inbound response
 // becomes visible to the core, or mem.NoEvent.
-func (l *CoreLink) NextInject(now mem.Cycle) mem.Cycle {
+func (l *CoreLink) NextEvent(now mem.Cycle) mem.Cycle {
 	if l.inHead < len(l.in) {
 		if at := l.in[l.inHead].at; at > now {
 			return at
@@ -195,10 +185,10 @@ func (l *CoreLink) NextInject(now mem.Cycle) mem.Cycle {
 	return mem.NoEvent
 }
 
-// Inject delivers every inbound response visible at cycle now to its
+// Tick delivers every inbound response visible at cycle now to its
 // original owner (the L2's Complete, which queues the fill and bumps
 // its wake counter).
-func (l *CoreLink) Inject(now mem.Cycle) {
+func (l *CoreLink) Tick(now mem.Cycle) {
 	for l.inHead < len(l.in) && l.in[l.inHead].at <= now {
 		r := l.in[l.inHead].req
 		l.in[l.inHead] = linkEntry{}
@@ -210,6 +200,14 @@ func (l *CoreLink) Inject(now mem.Cycle) {
 		l.inHead = 0
 	}
 }
+
+// SkipIdle implements the kernel's component: idle cycles cost the
+// link nothing.
+func (l *CoreLink) SkipIdle(mem.Cycle) {}
+
+// WakeCounter implements the kernel's component: no peer pokes the
+// link.
+func (l *CoreLink) WakeCounter() *uint64 { return &noWake }
 
 // StateDigest folds the link's architectural state — buffered requests
 // on both paths and the parked completion slots — so mid-flight bridge
@@ -234,18 +232,15 @@ func (l *CoreLink) StateDigest() uint64 {
 	return d.Sum()
 }
 
-// Shared-domain calendar ranks.
-const (
-	sharedRankLLC = iota
-	sharedRankDRAM
-	numSharedRanks
-)
-
 // SharedDomain is the serial half of a sharded system: the shared LLC,
 // the DRAM channel, and the deterministic drain that merges the cores'
 // buffered requests. It only ever runs between core phases, on one
-// goroutine.
+// goroutine. Its table is drain, LLC, DRAM: the L2-to-LLC hand-off
+// happens before the LLC's tick, exactly as the single-core rank order
+// has it.
 type SharedDomain struct {
+	engine
+
 	llc   *cache.Cache
 	dram  *dram.DRAM
 	links []*CoreLink
@@ -255,13 +250,7 @@ type SharedDomain struct {
 	// requests at drain time (wedge-injection test hook).
 	BlackHole int
 
-	now      mem.Cycle
-	evq      *event.Queue
-	primed   bool
-	lastWake [numSharedRanks]uint64
-	stall    []bool // per-core head-of-line stall, valid within one drain cycle
-
-	prof *observatory.Profile
+	stall []bool // per-core head-of-line stall, valid within one drain cycle
 }
 
 // LLC exposes the shared cache (diagnostics and stats snapshots).
@@ -271,19 +260,9 @@ func (s *SharedDomain) LLC() *cache.Cache { return s.llc }
 // stats snapshots).
 func (s *SharedDomain) DRAM() *dram.DRAM { return s.dram }
 
-// Now returns the cycle the shared domain has completed.
-func (s *SharedDomain) Now() mem.Cycle { return s.now }
-
 // AttachProfile arms attribution profiling for the shared ranks.
 func (s *SharedDomain) AttachProfile(p *observatory.Profile) {
-	if p == nil {
-		return
-	}
-	p.EnsureRanks(ShardProfileRanks[:])
-	if p.EngineVersion == "" {
-		p.EngineVersion = EngineVersion
-	}
-	s.prof = p
+	s.attachProfile(p, ShardProfileRanks[:])
 }
 
 // StateDigests appends the shared components' digests (LLC, DRAM).
@@ -292,14 +271,14 @@ func (s *SharedDomain) StateDigests(dst []uint64) []uint64 {
 }
 
 // nextArrival reports the earliest cycle a buffered request wants to
-// enter the LLC: a head rejected at or before the current cycle retries
-// next cycle.
-func (s *SharedDomain) nextArrival() mem.Cycle {
+// enter the LLC: a head rejected at or before cycle now retries next
+// cycle.
+func (s *SharedDomain) nextArrival(now mem.Cycle) mem.Cycle {
 	next := mem.NoEvent
 	for _, l := range s.links {
 		if at, ok := l.headAt(); ok {
-			if at <= s.now {
-				return s.now + 1
+			if at <= now {
+				return now + 1
 			}
 			if at < next {
 				next = at
@@ -357,118 +336,23 @@ func (s *SharedDomain) drain(t mem.Cycle) {
 	}
 }
 
-// LockstepCycle advances the shared domain one cycle: arrivals first
-// (the L2-to-LLC hand-off happens before the LLC's tick, exactly as the
-// single-core rank order has it), then the LLC and the channel.
-func (s *SharedDomain) LockstepCycle(u mem.Cycle) {
-	s.now = u
-	s.drain(u)
-	s.llc.Tick(u)
-	s.dram.Tick(u)
-}
+// drainRank is the shared table's first rank: Tick drains arrivals,
+// NextEvent is the next arrival. The cores append to their links
+// between runs, so the rank is re-primed at every run; inside a run
+// only the drain itself moves the buffers. It is not attributed.
+type drainRank SharedDomain
+
+func (d *drainRank) Tick(now mem.Cycle)                { (*SharedDomain)(d).drain(now) }
+func (d *drainRank) SkipIdle(mem.Cycle)                {}
+func (d *drainRank) NextEvent(now mem.Cycle) mem.Cycle { return (*SharedDomain)(d).nextArrival(now) }
+func (d *drainRank) WakeCounter() *uint64              { return &noWake }
 
 // Advance runs the shared domain from its current cycle to exactly
-// `to`, event-driven: idle gaps are integrated with SkipIdle, visited
-// cycles drain arrivals and tick whichever of LLC/DRAM is due or was
-// poked. Bit-identical to calling LockstepCycle for every cycle.
+// `to`. Idle stretches, the tail up to `to` included, are integrated
+// with SkipIdle; visited cycles drain arrivals and tick whichever of
+// LLC/DRAM is due or was poked. Bit-identical to stepping every cycle.
 func (s *SharedDomain) Advance(to mem.Cycle) {
-	if s.now >= to {
-		return
-	}
-	// Prime once: between phases the cores only append to their links'
-	// outbound buffers (seen by nextArrival each iteration), never touch
-	// the LLC or DRAM, so the calendar from the previous phase is still
-	// exact.
-	if !s.primed {
-		s.evq.Schedule(sharedRankLLC, s.llc.NextEvent(s.now))
-		s.lastWake[sharedRankLLC] = s.llc.WakeCount()
-		s.evq.Schedule(sharedRankDRAM, s.dram.NextEvent(s.now))
-		s.lastWake[sharedRankDRAM] = s.dram.WakeCount()
-		s.primed = true
-	}
-
-	for s.now < to {
-		next := s.evq.Next()
-		if a := s.nextArrival(); a < next {
-			next = a
-		}
-		if next > to {
-			// Provably idle through the phase boundary: integrate and stop.
-			k := to - s.now
-			s.llc.SkipIdle(k)
-			s.dram.SkipIdle(k)
-			s.now = to
-			if s.prof != nil {
-				s.prof.Gap(uint64(k))
-			}
-			return
-		}
-		s.advanceSharedTo(next)
-	}
-}
-
-// advanceSharedTo skips the provably idle gap and processes cycle t.
-func (s *SharedDomain) advanceSharedTo(t mem.Cycle) {
-	if k := t - s.now - 1; k > 0 {
-		s.llc.SkipIdle(k)
-		s.dram.SkipIdle(k)
-		s.now += k
-		if s.prof != nil {
-			s.prof.Gap(uint64(k))
-		}
-	}
-	s.now = t
-	if s.prof != nil {
-		s.prof.Advance(false)
-	}
-	s.drain(t)
-
-	var ticked [numSharedRanks]bool
-	{
-		due := s.evq.At(sharedRankLLC) <= t
-		woke := s.llc.WakeCount() != s.lastWake[sharedRankLLC]
-		if due || woke {
-			s.llc.Tick(t)
-			ticked[sharedRankLLC] = true
-		} else {
-			s.llc.SkipIdle(1)
-		}
-		if s.prof != nil {
-			s.prof.Visit(rankLLC, ticked[sharedRankLLC], due, woke, false)
-		}
-	}
-	{
-		due := s.evq.At(sharedRankDRAM) <= t
-		woke := s.dram.WakeCount() != s.lastWake[sharedRankDRAM]
-		if due || woke {
-			s.dram.Tick(t)
-			ticked[sharedRankDRAM] = true
-		} else {
-			s.dram.SkipIdle(1)
-		}
-		if s.prof != nil {
-			s.prof.Visit(rankDRAM, ticked[sharedRankDRAM], due, woke, false)
-		}
-	}
-
-	if ticked[sharedRankLLC] || s.llc.WakeCount() != s.lastWake[sharedRankLLC] {
-		s.evq.Schedule(sharedRankLLC, s.llc.NextEvent(t))
-		s.lastWake[sharedRankLLC] = s.llc.WakeCount()
-		if s.prof != nil {
-			s.prof.Rearm(rankLLC, true)
-		}
-	} else if s.prof != nil {
-		s.prof.Rearm(rankLLC, false)
-	}
-	if ticked[sharedRankDRAM] || s.dram.WakeCount() != s.lastWake[sharedRankDRAM] {
-		s.evq.Schedule(sharedRankDRAM, s.dram.NextEvent(t))
-		s.lastWake[sharedRankDRAM] = s.dram.WakeCount()
-		if s.prof != nil {
-			s.prof.Rearm(rankDRAM, true)
-		}
-	} else if s.prof != nil {
-		s.prof.Rearm(rankDRAM, false)
-	}
+	s.run(span{to: to})
 }
 
 // ShardedSystem is a built multi-core system: per-core private domains
@@ -520,9 +404,12 @@ func BuildSharded(cfg Config, cores int, mix []trace.Source, linkLat mem.Cycle, 
 		dram:      channel,
 		seed:      seed,
 		BlackHole: -1,
-		evq:       event.New(numSharedRanks),
 		stall:     make([]bool, cores),
 	}
+	shared.idleToBound = true
+	shared.add((*drainRank)(shared), noProf).reprime = true
+	shared.add(llc, profLLC)
+	shared.add(channel, profDRAM)
 
 	sys := &ShardedSystem{Shared: shared, LinkLatency: linkLat}
 	for i := 0; i < cores; i++ {
@@ -565,6 +452,11 @@ func BuildSharded(cfg Config, cores int, mix []trace.Source, linkLat mem.Cycle, 
 		m.l1d.SetPool(pool)
 		m.l2.SetPool(pool)
 		m.wireCommit()
+		link.clock = &m.now
+		m.addThread(m.core, m.gm)
+		m.add(m.l1d, profL1D)
+		m.add(m.l2, profL2)
+		m.add(link, profLink).reprime = true
 		sys.Cores = append(sys.Cores, m)
 		shared.links = append(shared.links, link)
 	}
@@ -572,47 +464,10 @@ func BuildSharded(cfg Config, cores int, mix []trace.Source, linkLat mem.Cycle, 
 	return sys, nil
 }
 
-// StepCore advances this core's private domain one cycle: the core,
-// its GM, L1D, L2, and finally the link's response injection — the
-// lockstep reference order the event-driven advance reproduces.
-func (m *Machine) StepCore(u mem.Cycle) {
-	m.now = u
-	m.link.now = u
-	m.core.Tick(u)
-	if m.gm != nil {
-		m.gm.Tick(u)
-	}
-	m.l1d.Tick(u)
-	m.l2.Tick(u)
-	m.link.Inject(u)
-	m.checkCoreWindow()
-}
-
-// checkCoreWindow samples the per-core window series when the retired
-// instruction count crossed the next boundary. Both sharded engines
-// call it at every visited cycle; instructions only retire on core
-// ticks, so the crossing cycle is always visited and the sample point
-// is engine-, worker-, and interval-invariant.
-func (m *Machine) checkCoreWindow() {
-	if m.winObs != nil && m.core.Stats.Instructions >= m.winNext {
-		m.sampleWindow()
-		for m.core.Stats.Instructions >= m.winNext {
-			m.winNext += m.winEvery
-		}
-	}
-}
-
 // AttachShardProfile arms attribution profiling with the multicore rank
 // vocabulary (ShardProfileRanks).
 func (m *Machine) AttachShardProfile(p *observatory.Profile) {
-	if p == nil {
-		return
-	}
-	p.EnsureRanks(ShardProfileRanks[:])
-	if p.EngineVersion == "" {
-		p.EngineVersion = EngineVersion
-	}
-	m.prof = p
+	m.attachProfile(p, ShardProfileRanks[:])
 }
 
 // PrivateDigests appends this core's private-component state digests in
@@ -635,191 +490,16 @@ func (m *Machine) PrivateDigests(dst []uint64) []uint64 {
 	return append(dst, comps[:]...)
 }
 
-// primePrivate (re)builds the private calendar: core, GM, L1D, L2 at
-// their own NextEvent, the link at its next response visibility. The
-// DRAM rank is cancelled — the shared domain is not this machine's to
-// schedule.
-func (m *Machine) primePrivate() {
-	if m.evq == nil {
-		m.evq = event.New(numRanks)
-	}
-	m.evq.Schedule(rankCore, m.core.NextEvent(m.now))
-	m.lastWake[rankCore] = m.core.WakeCount()
-	if m.gm != nil {
-		m.evq.Schedule(rankGM, m.gm.NextEvent(m.now))
-		m.lastWake[rankGM] = m.gm.WakeCount()
-		m.lastGMVer = m.gm.StateVersion()
-	}
-	m.evq.Schedule(rankL1D, m.l1d.NextEvent(m.now))
-	m.lastWake[rankL1D] = m.l1d.WakeCount()
-	m.evq.Schedule(rankL2, m.l2.NextEvent(m.now))
-	m.lastWake[rankL2] = m.l2.WakeCount()
-	m.evq.Schedule(rankLink, m.link.NextInject(m.now))
-	m.evq.Cancel(rankDRAM)
-}
-
 // AdvanceCore advances the private domain to exactly cycle `to`. When
 // target > 0 the advance pauses at the first cycle the retired
 // instruction count reaches target (the multicore engine's stop
 // staging: the barrier computes the global stop cycle from the pause
 // cycles, then resumes). Returns the cycle reached and whether the
-// target was hit. Uses the lockstep reference when the machine's
-// reference engine is selected.
+// target was hit. The private calendar is primed once and stays exact
+// across epochs: nothing but this core's goroutine touches its
+// components, except the link, which the shared domain feeds between
+// core phases and which is re-primed at every call.
 func (m *Machine) AdvanceCore(to mem.Cycle, target uint64) (mem.Cycle, bool) {
-	if target > 0 && m.core.Stats.Instructions >= target {
-		return m.now, true
-	}
-	if m.noSkip {
-		for m.now < to {
-			m.StepCore(m.now + 1)
-			if target > 0 && m.core.Stats.Instructions >= target {
-				return m.now, true
-			}
-		}
-		return m.now, false
-	}
-	// Prime once; on later epochs only the link rank can have gained an
-	// event from outside (responses completed by the shared domain
-	// between core phases) — every other rank's schedule is still exact
-	// because nothing but this goroutine touches those components.
-	if !m.shardPrimed {
-		m.primePrivate()
-		m.shardPrimed = true
-	} else {
-		m.evq.Schedule(rankLink, m.link.NextInject(m.now))
-	}
-	for m.now < to {
-		next := m.evq.Next()
-		clamped := false
-		if next > to {
-			next, clamped = to, true
-		}
-		m.advancePrivateTo(next)
-		m.checkCoreWindow()
-		if m.prof != nil {
-			m.prof.Advance(clamped)
-		}
-		if target > 0 && m.core.Stats.Instructions >= target {
-			return m.now, true
-		}
-	}
-	return m.now, false
-}
-
-// advancePrivateTo is advanceTo for the private ranks: gap-skip the
-// provably idle stretch, then process cycle t in rank order — core, GM,
-// L1D, L2, link injection — with the same due/woke/version tick
-// conditions and conditional re-arms as the single-core engine.
-func (m *Machine) advancePrivateTo(t mem.Cycle) {
-	if k := t - m.now - 1; k > 0 {
-		m.core.SkipIdle(m.now, k)
-		if m.gm != nil {
-			m.gm.SkipIdle(k)
-		}
-		m.l1d.SkipIdle(k)
-		m.l2.SkipIdle(k)
-		m.now += k
-		if m.prof != nil {
-			m.prof.Gap(uint64(k))
-		}
-	}
-	m.now = t
-	m.link.now = t
-	var ticked [numRanks]bool
-
-	{
-		due := m.evq.At(rankCore) <= t
-		woke := m.core.WakeCount() != m.lastWake[rankCore]
-		ver := m.gm != nil && m.gm.StateVersion() != m.lastGMVer
-		if due || woke || ver {
-			m.core.Tick(t)
-			ticked[rankCore] = true
-		} else {
-			m.core.SkipIdle(t-1, 1)
-		}
-		if m.prof != nil {
-			m.prof.Visit(rankCore, ticked[rankCore], due, woke, ver)
-		}
-	}
-	if m.gm != nil {
-		due := m.evq.At(rankGM) <= t
-		woke := m.gm.WakeCount() != m.lastWake[rankGM]
-		if due || woke {
-			m.gm.Tick(t)
-			ticked[rankGM] = true
-		} else {
-			m.gm.SkipIdle(1)
-		}
-		if m.prof != nil {
-			m.prof.Visit(rankGM, ticked[rankGM], due, woke, false)
-		}
-	}
-	caches := [...]*cache.Cache{m.l1d, m.l2}
-	for i, c := range caches {
-		r := rankL1D + i
-		due := m.evq.At(r) <= t
-		woke := c.WakeCount() != m.lastWake[r]
-		if due || woke {
-			c.Tick(t)
-			ticked[r] = true
-		} else {
-			c.SkipIdle(1)
-		}
-		if m.prof != nil {
-			m.prof.Visit(r, ticked[r], due, woke, false)
-		}
-	}
-	{
-		due := m.evq.At(rankLink) <= t
-		if due {
-			m.link.Inject(t)
-			ticked[rankLink] = true
-		}
-		if m.prof != nil {
-			m.prof.Visit(profileRank(rankLink), ticked[rankLink], due, false, false)
-		}
-	}
-
-	// Conditional re-arms, as in advanceTo: a rank that ticked or was
-	// poked this cycle gets a fresh schedule.
-	if ticked[rankCore] || m.core.WakeCount() != m.lastWake[rankCore] ||
-		(m.gm != nil && m.gm.StateVersion() != m.lastGMVer) {
-		m.evq.Schedule(rankCore, m.core.NextEvent(t))
-		m.lastWake[rankCore] = m.core.WakeCount()
-		if m.gm != nil {
-			m.lastGMVer = m.gm.StateVersion()
-		}
-		if m.prof != nil {
-			m.prof.Rearm(rankCore, true)
-		}
-	} else if m.prof != nil {
-		m.prof.Rearm(rankCore, false)
-	}
-	if m.gm != nil {
-		if ticked[rankGM] || m.gm.WakeCount() != m.lastWake[rankGM] {
-			m.evq.Schedule(rankGM, m.gm.NextEvent(t))
-			m.lastWake[rankGM] = m.gm.WakeCount()
-			if m.prof != nil {
-				m.prof.Rearm(rankGM, true)
-			}
-		} else if m.prof != nil {
-			m.prof.Rearm(rankGM, false)
-		}
-	}
-	for i, c := range caches {
-		r := rankL1D + i
-		if ticked[r] || c.WakeCount() != m.lastWake[r] {
-			m.evq.Schedule(r, c.NextEvent(t))
-			m.lastWake[r] = c.WakeCount()
-			if m.prof != nil {
-				m.prof.Rearm(r, true)
-			}
-		} else if m.prof != nil {
-			m.prof.Rearm(r, false)
-		}
-	}
-	m.evq.Schedule(rankLink, m.link.NextInject(t))
-	if m.prof != nil {
-		m.prof.Rearm(profileRank(rankLink), ticked[rankLink])
-	}
+	m.run(span{to: to, target: target, m: m})
+	return m.now, m.reached(target)
 }

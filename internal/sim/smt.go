@@ -19,14 +19,15 @@ import (
 // evictions can invalidate SUF's recorded hit levels. Each thread runs
 // its own trace in a disjoint address space.
 //
-// The returned tick function advances the shared levels and DRAM once
-// per cycle (threads are ticked individually via TickSMT).
-func BuildSMT(cfg Config, threads []trace.Source) ([]*Machine, func(mem.Cycle), error) {
+// The first machine's engine runs the whole core: its table is core0,
+// GM0, core1, GM1, L1D, L2, LLC, DRAM, the order a lockstep SMT cycle
+// ticks them in.
+func BuildSMT(cfg Config, threads []trace.Source) ([]*Machine, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(threads) != 2 {
-		return nil, nil, fmt.Errorf("sim: SMT model is 2-way, got %d threads", len(threads))
+		return nil, fmt.Errorf("sim: SMT model is 2-way, got %d threads", len(threads))
 	}
 	channel := dram.New(cfg.DRAM)
 	llc := cache.New(cache.LLCConfig(1), channel)
@@ -68,7 +69,7 @@ func BuildSMT(cfg Config, threads []trace.Source) ([]*Machine, func(mem.Cycle), 
 			// 0 owns it and its access-stream hooks observe both
 			// threads' traffic.
 			if err := m.buildPrefetcher(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		} else if len(machines) > 0 {
 			// Later threads share the engine but keep a private X-LQ
@@ -89,86 +90,54 @@ func BuildSMT(cfg Config, threads []trace.Source) ([]*Machine, func(mem.Cycle), 
 		m.wireCommit()
 		machines = append(machines, m)
 	}
-	shared := func(now mem.Cycle) {
-		l1d.Tick(now)
-		l2.Tick(now)
-		llc.Tick(now)
-		channel.Tick(now)
+	e := &machines[0].engine
+	for _, m := range machines {
+		e.addThread(m.core, m.gm)
 	}
-	return machines, shared, nil
-}
-
-// TickSMT advances only this thread's private components (core, GM);
-// the shared levels are ticked once per cycle by the BuildSMT tick
-// function.
-func (m *Machine) TickSMT(now mem.Cycle) {
-	m.now = now
-	m.core.Tick(now)
-	if m.gm != nil {
-		m.gm.Tick(now)
-	}
+	e.add(l1d, profL1D)
+	e.add(l2, profL2)
+	e.add(llc, profLLC)
+	e.add(channel, profDRAM)
+	e.reprimeAll()
+	return machines, nil
 }
 
 // RunSMT simulates a 2-thread SMT pair until both threads retire the
 // configured instruction budget, returning per-thread results.
 func RunSMT(cfg Config, threads []trace.Source) ([]*Result, error) {
-	machines, shared, err := BuildSMT(cfg, threads)
+	machines, err := BuildSMT(cfg, threads)
 	if err != nil {
 		return nil, err
 	}
-	warmup := uint64(cfg.WarmupInstrs)
-	measured := uint64(cfg.MaxInstrs)
+	return runSMT(cfg, machines, threads)
+}
+
+// runSMT runs a built SMT pair on the first machine's engine.
+func runSMT(cfg Config, machines []*Machine, threads []trace.Source) ([]*Result, error) {
+	e := &machines[0].engine
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = mem.Cycle(2000 * (cfg.WarmupInstrs + cfg.MaxInstrs))
 	}
-	var now mem.Cycle
-	var lastSum uint64
-	lastProgress := now
 	runTo := func(n uint64) error {
-		for {
-			done := true
-			var sum uint64
-			for _, m := range machines {
-				if m.Instructions() < n {
-					done = false
-				}
-				sum += m.Instructions()
-			}
-			if done {
-				return nil
-			}
-			now++
-			for _, m := range machines {
-				m.TickSMT(now)
-			}
-			shared(now)
-			if sum != lastSum {
-				lastSum = sum
-				lastProgress = now
-			} else if now-lastProgress > 500_000 {
-				return ErrNoProgress
-			}
-			if now > maxCycles {
-				return fmt.Errorf("sim: SMT cycle budget exhausted at %d", now)
-			}
-		}
+		e.resetProgress()
+		return e.run(span{to: mem.NoEvent, target: n, budget: maxCycles, wedge: true})
 	}
-	if warmup > 0 {
-		if err := runTo(warmup); err != nil {
+	if cfg.WarmupInstrs > 0 {
+		if err := runTo(uint64(cfg.WarmupInstrs)); err != nil {
 			return nil, err
 		}
 		for _, m := range machines {
 			m.resetStats()
 		}
 	}
-	start := now
-	if err := runTo(measured); err != nil {
+	start := e.now
+	if err := runTo(uint64(cfg.MaxInstrs)); err != nil {
 		return nil, err
 	}
 	var out []*Result
 	for i, m := range machines {
-		out = append(out, m.result(threads[i].Name(), now-start))
+		out = append(out, m.result(threads[i].Name(), e.now-start))
 	}
 	return out, nil
 }

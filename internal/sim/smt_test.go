@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"secpref/internal/trace"
@@ -75,7 +76,48 @@ func TestSMTSharingSlowsThreads(t *testing.T) {
 
 func TestSMTRequiresTwoThreads(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, _, err := BuildSMT(cfg, nil); err == nil {
+	if _, err := BuildSMT(cfg, nil); err == nil {
 		t.Fatal("expected thread-count error")
+	}
+}
+
+// TestSMTEngineEquivalence: RunSMT on the event kernel must match the
+// lockstep reference (stepAll every cycle) bit for bit, per thread, on
+// a heterogeneous pair and on a same-trace pair whose threads contend
+// for the same sets.
+func TestSMTEngineEquivalence(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WarmupInstrs = 1000
+	cfg.MaxInstrs = 5000
+	cfg.Secure = true
+	cfg.SUF = true
+	cfg.Prefetcher = "berti"
+	cfg.Mode = ModeTimelySecure
+	for _, pair := range [][2]string{
+		{"605.mcf-1554B", "602.gcc-1850B"},
+		{"605.mcf-1554B", "605.mcf-1554B"},
+	} {
+		t.Run(pair[0]+"+"+pair[1], func(t *testing.T) {
+			run := func(noSkip bool) []*Result {
+				srcs := smtSources(t, pair[0], pair[1], 7000)
+				machines, err := BuildSMT(cfg, srcs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				machines[0].noSkip = noSkip
+				res, err := runSMT(cfg, machines, srcs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			event, ref := run(false), run(true)
+			for i := range ref {
+				if !reflect.DeepEqual(event[i], ref[i]) {
+					t.Errorf("thread %d diverged:\nevent: cycles=%d core=%+v\nref:   cycles=%d core=%+v",
+						i, event[i].Cycles, event[i].Core, ref[i].Cycles, ref[i].Core)
+				}
+			}
+		})
 	}
 }

@@ -32,6 +32,7 @@ func wedgedMachine(t *testing.T, noSkip bool) *Machine {
 	m.core = cpu.New(cfg.Core, smokeTrace(t, "bfs-3B", 12_000), blackHolePort{}, l1dStorePort{m.l1d})
 	m.wirePool()
 	m.wireCommit()
+	m.buildRanks()
 	m.noSkip = noSkip
 	return m
 }
