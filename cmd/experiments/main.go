@@ -204,33 +204,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: multicore gate passed in %.1fs (parallel and reference engines bit-identical; barrier interval immaterial)\n", time.Since(start).Seconds())
 	}
 	if aggregate != nil {
-		if err := writeSimProfile(aggregate, *simProfile); err != nil {
+		prof := aggregate.Snapshot()
+		if err := prof.WriteFiles(*simProfile, ""); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprint(os.Stderr, aggregate.String())
+		fmt.Fprint(os.Stderr, prof.String())
 		fmt.Fprintf(os.Stderr, "experiments: sim-profile table in %s.json and %s.csv\n", *simProfile, *simProfile)
 	}
 	if *timeseries != "" {
 		fmt.Fprintf(os.Stderr, "experiments: time series and lifecycle traces in %s\n", *timeseries)
 	}
-}
-
-// writeSimProfile exports the aggregated attribution table as
-// base.json and base.csv.
-func writeSimProfile(a *observatory.Aggregate, base string) error {
-	jf, err := os.Create(base + ".json")
-	if err != nil {
-		return err
-	}
-	defer jf.Close()
-	if err := a.WriteJSON(jf); err != nil {
-		return err
-	}
-	cf, err := os.Create(base + ".csv")
-	if err != nil {
-		return err
-	}
-	defer cf.Close()
-	return a.WriteCSV(cf)
 }

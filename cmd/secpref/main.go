@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"secpref"
@@ -119,16 +118,24 @@ func main() {
 		os.Exit(1)
 	}
 	if *tsDir != "" {
-		if err := exportTimeseries(*tsDir, res.TraceName, cfg.Label(), sampler, tracer); err != nil {
+		base, err := probe.WriteRunFiles(*tsDir, res.TraceName, cfg.Label(), sampler, tracer)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "secpref:", err)
 			os.Exit(1)
 		}
+		fmt.Fprintf(os.Stderr, "secpref: wrote %s.series.json, .series.csv, .trace.json (%d windows, %d trace events)\n",
+			base, sampler.Len(), len(tracer.Events()))
 	}
 	if prof != nil {
-		if err := exportSimProfile(prof, *simProf, res.TraceName+" "+cfg.Label(), *tsDir != ""); err != nil {
+		if err := prof.WriteFiles(*simProf, res.TraceName+" "+cfg.Label()); err != nil {
 			fmt.Fprintln(os.Stderr, "secpref:", err)
 			os.Exit(1)
 		}
+		wrote := *simProf + ".json, " + *simProf + ".csv"
+		if len(prof.Track) > 0 {
+			wrote += ", " + *simProf + ".trace.json"
+		}
+		fmt.Fprintf(os.Stderr, "secpref: wrote %s\n", wrote)
 		fmt.Fprint(os.Stderr, prof.String())
 	}
 
@@ -160,95 +167,6 @@ func main() {
 		sb := auditor.Scoreboard()
 		fmt.Printf("leakage audit:    %s\n", sb.String())
 	}
-}
-
-// exportTimeseries writes <trace>__<label>.series.json, .series.csv,
-// and .trace.json into dir and reports the paths on stderr.
-func exportTimeseries(dir, traceName, label string, s *probe.IntervalSampler, tr *probe.Tracer) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	sanitized := strings.Map(func(r rune) rune {
-		switch r {
-		case '/', '+', ' ', ':':
-			return '-'
-		}
-		return r
-	}, label)
-	base := filepath.Join(dir, traceName+"__"+sanitized)
-	write := func(path string, emit func(*os.File) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		return f.Close()
-	}
-	if err := write(base+".series.json", func(f *os.File) error { return s.WriteJSON(f, label, traceName) }); err != nil {
-		return err
-	}
-	if err := write(base+".series.csv", func(f *os.File) error { return s.WriteCSV(f) }); err != nil {
-		return err
-	}
-	if err := write(base+".trace.json", func(f *os.File) error { return tr.WriteChromeTrace(f, traceName+" "+label) }); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "secpref: wrote %s.series.json, .series.csv, .trace.json (%d windows, %d trace events)\n",
-		base, s.Len(), len(tr.Events()))
-	return nil
-}
-
-// exportSimProfile writes the engine-attribution table as base.json
-// and base.csv, plus base.trace.json counter tracks when the run also
-// sampled windows (the tracks ride the window cadence).
-func exportSimProfile(p *observatory.Profile, base, label string, withTracks bool) error {
-	if dir := filepath.Dir(base); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	jf, err := os.Create(base + ".json")
-	if err != nil {
-		return err
-	}
-	if err := p.WriteJSON(jf); err != nil {
-		jf.Close()
-		return err
-	}
-	if err := jf.Close(); err != nil {
-		return err
-	}
-	cf, err := os.Create(base + ".csv")
-	if err != nil {
-		return err
-	}
-	if err := p.WriteCSV(cf); err != nil {
-		cf.Close()
-		return err
-	}
-	if err := cf.Close(); err != nil {
-		return err
-	}
-	names := []string{base + ".json", base + ".csv"}
-	if withTracks && len(p.Track) > 0 {
-		tf, err := os.Create(base + ".trace.json")
-		if err != nil {
-			return err
-		}
-		if err := p.WriteChromeTrace(tf, label); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Close(); err != nil {
-			return err
-		}
-		names = append(names, base+".trace.json")
-	}
-	fmt.Fprintf(os.Stderr, "secpref: wrote %s\n", strings.Join(names, ", "))
-	return nil
 }
 
 func max(a, b uint64) uint64 {

@@ -9,8 +9,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"secpref/internal/expo"
 	"secpref/internal/trace"
 	"secpref/internal/workload"
 )
@@ -39,17 +41,7 @@ func main() {
 	if path == "" {
 		path = *name + ".trace"
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := trace.Write(f, tr); err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
+	if err := expo.WriteFiles(path, expo.File{Emit: func(w io.Writer) error { return trace.Write(w, tr) }}); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}

@@ -214,40 +214,57 @@ func (r *Runner) result(traceName string, v cfgVariant) (*sim.Result, error) {
 			e.err = err
 			return
 		}
-		if c := r.opts.Campaign; c != nil {
-			c.RunStarted()
-			defer func() {
-				if e.err != nil {
-					c.RunFailed()
-				} else {
-					c.RunDone(e.res.Instructions, e.res.Cycles)
-				}
-			}()
-		}
-		src := trace.NewSource(tr)
-		var probes sim.Probes
-		var prof *observatory.Profile
-		if r.opts.Profile != nil {
-			prof = observatory.NewProfile()
-			probes.Profile = prof
-		}
-		if r.opts.TimeseriesDir == "" {
-			e.res, e.err = sim.RunProbed(v.config(r.opts), src, probes)
-		} else {
-			sampler := probe.NewIntervalSampler(r.opts.Instrs/int(sim.DefaultWindowInstrs) + 2)
-			tracer := probe.NewTracer(traceSampleEvery, traceRingCap)
-			probes.Observer = tracer
-			probes.Window = sampler
-			e.res, e.err = sim.RunProbed(v.config(r.opts), src, probes)
-			if e.err == nil {
-				e.err = r.exportTimeseries(traceName, v.label, sampler, tracer)
+		e.res, e.err = account(r.opts.Campaign, func() (*sim.Result, error) {
+			var probes sim.Probes
+			if r.opts.Profile != nil {
+				probes.Profile = observatory.NewProfile()
 			}
-		}
-		if e.err == nil && prof != nil {
-			r.opts.Profile.Add(prof)
-		}
+			var sampler *probe.IntervalSampler
+			var tracer *probe.Tracer
+			if r.opts.TimeseriesDir != "" {
+				sampler = probe.NewIntervalSampler(r.opts.Instrs/int(sim.DefaultWindowInstrs) + 2)
+				tracer = probe.NewTracer(traceSampleEvery, traceRingCap)
+				probes.Observer = tracer
+				probes.Window = sampler
+			}
+			res, err := sim.RunProbed(v.config(r.opts), trace.NewSource(tr), probes)
+			if err == nil && sampler != nil {
+				_, err = probe.WriteRunFiles(r.opts.TimeseriesDir, traceName, v.label, sampler, tracer)
+			}
+			if err == nil && probes.Profile != nil {
+				r.opts.Profile.Add(probes.Profile)
+			}
+			return res, err
+		}, func(res *sim.Result) (uint64, uint64) { return res.Instructions, res.Cycles })
 	})
 	return e.res, e.err
+}
+
+// Lifecycle-tracer sizing for campaign runs: sample every 32nd load and
+// keep the most recent 8Ki events per run. Campaign traces are meant for
+// spot inspection in Perfetto, not exhaustive capture; the ring bounds
+// memory across the fan-out.
+const (
+	traceSampleEvery = 32
+	traceRingCap     = 1 << 13
+)
+
+// account wraps one simulation in the campaign's run accounting:
+// RunStarted before it, then RunFailed on error or RunDone with the
+// retired instructions and simulated cycles work reads off the result.
+// Single-core, Fig. 15 and consolidation runs all count through it.
+func account[R any](c *probe.Campaign, run func() (R, error), work func(R) (instrs, cycles uint64)) (R, error) {
+	if c == nil {
+		return run()
+	}
+	c.RunStarted()
+	res, err := run()
+	if err != nil {
+		c.RunFailed()
+		return res, err
+	}
+	c.RunDone(work(res))
+	return res, nil
 }
 
 // forEachTrace runs fn for every trace in parallel and collects errors.

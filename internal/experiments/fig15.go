@@ -106,19 +106,28 @@ func (r *Runner) runMix(v cfgVariant, names []string) (*multicore.Result, error)
 		return nil, err
 	}
 	var probes multicore.Probes
-	var prof *observatory.Profile
 	if r.opts.Profile != nil {
-		prof = observatory.NewProfile()
-		probes.Profile = prof
+		probes.Profile = observatory.NewProfile()
 	}
-	res, err := multicore.RunProbed(cfg, mix, probes)
+	res, err := account(r.opts.Campaign, func() (*multicore.Result, error) {
+		return multicore.RunProbed(cfg, mix, probes)
+	}, mixWork)
 	if err != nil {
 		return nil, err
 	}
-	if prof != nil {
-		r.opts.Profile.Add(prof)
+	if probes.Profile != nil {
+		r.opts.Profile.Add(probes.Profile)
 	}
 	return res, nil
+}
+
+// mixWork reads a multicore run's campaign work: instructions summed
+// over every core, and the run's simulated cycles.
+func mixWork(res *multicore.Result) (instrs, cycles uint64) {
+	for _, c := range res.PerCore {
+		instrs += c.Instructions
+	}
+	return instrs, res.Cycles
 }
 
 // sumIPCRatio computes Σ_i IPC_i(cfg)/IPC_i(base) — with identical

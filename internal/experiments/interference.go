@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sort"
 
+	"secpref/internal/expo"
 	"secpref/internal/interference"
 	"secpref/internal/multicore"
 )
@@ -51,7 +51,9 @@ func (r *Runner) runConsolidation(v cfgVariant, names []string) (*multicore.Resu
 	if err != nil {
 		return nil, err
 	}
-	return multicore.RunProbed(cfg, mix, multicore.Probes{Interference: true})
+	return account(r.opts.Campaign, func() (*multicore.Result, error) {
+		return multicore.RunProbed(cfg, mix, multicore.Probes{Interference: true})
+	}, mixWork)
 }
 
 // ConsolidationInterference runs the cross-core interference study:
@@ -75,10 +77,6 @@ func (r *Runner) ConsolidationInterference() (*Table, error) {
 			res, err := r.runConsolidation(v, names)
 			if err != nil {
 				return nil, fmt.Errorf("consolidation-interference %d-core %s: %w", cores, v.label, err)
-			}
-			if r.opts.Campaign != nil {
-				r.opts.Campaign.RunStarted()
-				r.opts.Campaign.RunDone(res.PerCore[0].Instructions*uint64(cores), res.Cycles)
 			}
 			s := res.Interference
 			label := fmt.Sprintf("mc%02d/%s", cores, v.label)
@@ -121,7 +119,12 @@ func (r *Runner) ConsolidationInterference() (*Table, error) {
 				u(total.Inflicted), u(total.Pollution), "-")
 
 			if r.opts.TimeseriesDir != "" {
-				if err := r.exportInterference(fmt.Sprintf("mc%02d__%s", cores, sanitizeLabel(v.label)), s); err != nil {
+				if err := expo.WriteFiles(filepath.Join(r.opts.TimeseriesDir, fmt.Sprintf("mc%02d__%s", cores, expo.FileLabel(v.label))),
+					expo.File{Suffix: ".interference.json", Emit: s.WriteJSON},
+					expo.File{Suffix: ".interference.csv", Emit: s.WriteCSV},
+					expo.File{Suffix: ".interference.prom", Emit: s.WritePrometheus},
+					expo.File{Suffix: ".interference.trace.json", Emit: s.WriteChromeTrace},
+				); err != nil {
 					return nil, err
 				}
 			}
@@ -131,37 +134,6 @@ func (r *Runner) ConsolidationInterference() (*Table, error) {
 		"inflicted = victim demand misses on lines this aggressor evicted; pollution = the prefetch-caused subset",
 		"LLC shrunk to 32 KiB/core bank so laptop-scale budgets exercise capacity contention (paper scale: 2 MB/core)")
 	return t, nil
-}
-
-// exportInterference writes one run's observatory snapshot into
-// opts.TimeseriesDir in all four export formats.
-func (r *Runner) exportInterference(base string, s *interference.Snapshot) error {
-	dir := r.opts.TimeseriesDir
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("timeseries dir: %w", err)
-	}
-	root := filepath.Join(dir, base)
-	write := func(path string, emit func(*os.File) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		return f.Close()
-	}
-	if err := write(root+".interference.json", func(f *os.File) error { return s.WriteJSON(f) }); err != nil {
-		return err
-	}
-	if err := write(root+".interference.csv", func(f *os.File) error { return s.WriteCSV(f) }); err != nil {
-		return err
-	}
-	if err := write(root+".interference.prom", func(f *os.File) error { return s.WritePrometheus(f) }); err != nil {
-		return err
-	}
-	return write(root+".interference.trace.json", func(f *os.File) error { return s.WriteChromeTrace(f) })
 }
 
 func u(v uint64) string { return fmt.Sprintf("%d", v) }

@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"strconv"
 	"sync"
 
 	"secpref/internal/attack"
+	"secpref/internal/expo"
 	"secpref/internal/leakage"
 	"secpref/internal/sim"
 	"secpref/internal/trace"
@@ -159,25 +160,14 @@ func (r *Runner) auditCampaign(v cfgVariant) (leakage.Scoreboard, error) {
 // exportLeakageTable writes the scoreboard as JSON and CSV next to the
 // campaign time series (the CI artifact).
 func (r *Runner) exportLeakageTable(t *Table) error {
-	if err := os.MkdirAll(r.opts.TimeseriesDir, 0o755); err != nil {
-		return err
-	}
 	js, err := t.JSON()
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(r.opts.TimeseriesDir, t.ID+".json"), js, 0o644); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(r.opts.TimeseriesDir, t.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	if err := t.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return expo.WriteFiles(filepath.Join(r.opts.TimeseriesDir, t.ID),
+		expo.File{Suffix: ".json", Emit: func(w io.Writer) error { _, err := w.Write(js); return err }},
+		expo.File{Suffix: ".csv", Emit: t.WriteCSV},
+	)
 }
 
 // SecureLeakageGate is the CI invariant check. It fails when the

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"secpref/internal/expo"
 	"secpref/internal/probe"
 )
 
@@ -16,8 +17,8 @@ func TestSanitizeLabel(t *testing.T) {
 		"nopref/non-secure":                   "nopref-non-secure",
 		"bingo/on-commit/secure+SUF+classify": "bingo-on-commit-secure-SUF-classify",
 	} {
-		if got := sanitizeLabel(in); got != want {
-			t.Errorf("sanitizeLabel(%q) = %q, want %q", in, got, want)
+		if got := expo.FileLabel(in); got != want {
+			t.Errorf("FileLabel(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -62,7 +63,7 @@ func TestTimeseriesOutputInvariant(t *testing.T) {
 
 	// The series JSON must decode and hold per-interval rows; the trace
 	// must be a Chrome trace-event array.
-	raw, err := os.ReadFile(filepath.Join(dir, "605.mcf-1554B__"+sanitizeLabel("berti/on-access/secure")+".series.json"))
+	raw, err := os.ReadFile(filepath.Join(dir, "605.mcf-1554B__"+expo.FileLabel("berti/on-access/secure")+".series.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,5 +110,43 @@ func TestTimeseriesOutputInvariant(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(string(rawCSV)), "\n")
 	if len(lines) < 4 || !strings.HasPrefix(lines[0], "cycle,instructions,ipc,") {
 		t.Errorf("csv export off (%d lines, header %q)", len(lines), lines[0])
+	}
+}
+
+// TestFig15CampaignAccounting pins multicore campaign accounting: a
+// one-mix Fig. 15 run is seven 4-core simulations (the non-secure
+// baseline plus six variants), each counted once, with instructions
+// summed over every core.
+func TestFig15CampaignAccounting(t *testing.T) {
+	opts := QuickOptions()
+	opts.Instrs = 4000
+	opts.Warmup = 1000
+	opts.Mixes = 1
+	opts.Traces = []string{"605.mcf-1554B", "bfs-3B"}
+	c := probe.NewCampaign(1)
+	counted := opts
+	counted.Campaign = c
+	if _, err := NewRunner(counted).Run("fig15"); err != nil {
+		t.Fatal(err)
+	}
+	snap := c.Snapshot()
+	if snap.RunsStarted != 7 || snap.RunsDone != 7 || snap.RunsFailed != 0 {
+		t.Fatalf("fig15 runs: started %d done %d failed %d, want 7/7/0", snap.RunsStarted, snap.RunsDone, snap.RunsFailed)
+	}
+	// The campaign's instructions are every core's retired count summed
+	// over the seven runs; recompute them from uncounted reruns.
+	var want uint64
+	ref := NewRunner(opts)
+	for _, v := range append([]cfgVariant{baseNonSecure()}, fig15Variants()...) {
+		res, err := ref.runMix(v, ref.randomMixes()[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, core := range res.PerCore {
+			want += core.Instructions
+		}
+	}
+	if snap.Instructions != want {
+		t.Errorf("fig15 instructions = %d, want %d summed over every core", snap.Instructions, want)
 	}
 }

@@ -8,11 +8,11 @@ package interference
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 
+	"secpref/internal/expo"
 	"secpref/internal/mem"
 )
 
@@ -154,11 +154,7 @@ func (t *Tracker) Snapshot() *Snapshot {
 }
 
 // WriteJSON writes the snapshot as one indented JSON document.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
+func (s *Snapshot) WriteJSON(w io.Writer) error { return expo.WriteJSON(w, s) }
 
 // WriteCSV writes the attribution matrix, one row per (aggressor,
 // victim) cell.
@@ -192,94 +188,47 @@ func (s *Snapshot) WriteCSV(w io.Writer) error {
 // WritePrometheus implements probe.PrometheusWriter: the matrix as
 // labeled counters, per-core footprint as gauges. Label cardinality is
 // cores² for the matrix series — fine at the 4–64 cores this simulator
-// runs.
+// runs. Zero matrix and link cells are omitted.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP secpref_interference_evictions_total Cross-core LLC evictions by aggressor provenance.\n# TYPE secpref_interference_evictions_total counter\n"); err != nil {
-		return err
-	}
+	family := func(name, typ, help string) expo.Family { return expo.Family{Name: name, Help: help, Type: typ} }
+	evictions := family("secpref_interference_evictions_total", expo.Counter, "Cross-core LLC evictions by aggressor provenance.")
+	inflicted := family("secpref_interference_inflicted_total", expo.Counter, "Victim demand misses on lines the aggressor evicted.")
+	pollution := family("secpref_interference_pollution_total", expo.Counter, "Inflicted misses whose evicting fill was a prefetch.")
 	for _, c := range s.Cells {
-		for cl, v := range c.Evictions {
-			if v == 0 {
-				continue
-			}
-			if _, err := fmt.Fprintf(w,
-				"secpref_interference_evictions_total{aggressor=\"%d\",victim=\"%d\",class=%q} %d\n",
-				c.Aggressor, c.Victim, ClassNames[cl], v); err != nil {
-				return err
+		a, v := strconv.Itoa(c.Aggressor), strconv.Itoa(c.Victim)
+		for cl, n := range c.Evictions {
+			if n != 0 {
+				evictions.Add(float64(n), "aggressor", a, "victim", v, "class", ClassNames[cl])
 			}
 		}
-	}
-	if _, err := fmt.Fprintf(w, "# HELP secpref_interference_inflicted_total Victim demand misses on lines the aggressor evicted.\n# TYPE secpref_interference_inflicted_total counter\n"); err != nil {
-		return err
-	}
-	for _, c := range s.Cells {
-		if c.Inflicted == 0 {
-			continue
+		if c.Inflicted != 0 {
+			inflicted.Add(float64(c.Inflicted), "aggressor", a, "victim", v)
 		}
-		if _, err := fmt.Fprintf(w,
-			"secpref_interference_inflicted_total{aggressor=\"%d\",victim=\"%d\"} %d\n",
-			c.Aggressor, c.Victim, c.Inflicted); err != nil {
-			return err
+		if c.Pollution != 0 {
+			pollution.Add(float64(c.Pollution), "aggressor", a, "victim", v)
 		}
 	}
-	if _, err := fmt.Fprintf(w, "# HELP secpref_interference_pollution_total Inflicted misses whose evicting fill was a prefetch.\n# TYPE secpref_interference_pollution_total counter\n"); err != nil {
-		return err
-	}
-	for _, c := range s.Cells {
-		if c.Pollution == 0 {
-			continue
-		}
-		if _, err := fmt.Fprintf(w,
-			"secpref_interference_pollution_total{aggressor=\"%d\",victim=\"%d\"} %d\n",
-			c.Aggressor, c.Victim, c.Pollution); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# HELP secpref_interference_occupancy_lines Per-core resident shared-LLC lines.\n# TYPE secpref_interference_occupancy_lines gauge\n"); err != nil {
-		return err
-	}
+	occupancy := family("secpref_interference_occupancy_lines", expo.Gauge, "Per-core resident shared-LLC lines.")
+	reads := family("secpref_interference_dram_reads_total", expo.Counter, "Per-core shared-DRAM reads.")
+	writes := family("secpref_interference_dram_writes_total", expo.Counter, "Per-core shared-DRAM writes (charged to the causing core).")
+	link := family("secpref_interference_link_requests_total", expo.Counter, "Per-core shared-link requests by provenance class.")
 	for _, c := range s.PerCore {
-		if _, err := fmt.Fprintf(w, "secpref_interference_occupancy_lines{core=\"%d\"} %d\n", c.Core, c.OccLines); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# HELP secpref_interference_dram_reads_total Per-core shared-DRAM reads.\n# TYPE secpref_interference_dram_reads_total counter\n"); err != nil {
-		return err
-	}
-	for _, c := range s.PerCore {
-		if _, err := fmt.Fprintf(w, "secpref_interference_dram_reads_total{core=\"%d\"} %d\n", c.Core, c.DRAMReads); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# HELP secpref_interference_dram_writes_total Per-core shared-DRAM writes (charged to the causing core).\n# TYPE secpref_interference_dram_writes_total counter\n"); err != nil {
-		return err
-	}
-	for _, c := range s.PerCore {
-		if _, err := fmt.Fprintf(w, "secpref_interference_dram_writes_total{core=\"%d\"} %d\n", c.Core, c.DRAMWrites); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# HELP secpref_interference_link_requests_total Per-core shared-link requests by provenance class.\n# TYPE secpref_interference_link_requests_total counter\n"); err != nil {
-		return err
-	}
-	for _, c := range s.PerCore {
-		for cl, v := range c.Link {
-			if v == 0 {
-				continue
-			}
-			if _, err := fmt.Fprintf(w,
-				"secpref_interference_link_requests_total{core=\"%d\",class=%q} %d\n",
-				c.Core, ClassNames[cl], v); err != nil {
-				return err
+		core := strconv.Itoa(c.Core)
+		occupancy.Add(float64(c.OccLines), "core", core)
+		reads.Add(float64(c.DRAMReads), "core", core)
+		writes.Add(float64(c.DRAMWrites), "core", core)
+		for cl, n := range c.Link {
+			if n != 0 {
+				link.Add(float64(n), "core", core, "class", ClassNames[cl])
 			}
 		}
 	}
+	fams := []expo.Family{evictions, inflicted, pollution, occupancy, reads, writes, link}
 	if s.EngineVersion != "" {
-		if _, err := fmt.Fprintf(w, "# HELP secpref_interference_engine_info Engine generation the snapshot was recorded under.\n# TYPE secpref_interference_engine_info gauge\nsecpref_interference_engine_info{version=%q} 1\n", s.EngineVersion); err != nil {
-			return err
-		}
+		fams = append(fams, expo.Single("secpref_interference_engine_info", expo.Gauge,
+			"Engine generation the snapshot was recorded under.", 1, "version", s.EngineVersion))
 	}
-	return nil
+	return expo.WritePrometheus(w, fams...)
 }
 
 // WritePrometheus implements probe.PrometheusWriter on the Tracker by
@@ -294,56 +243,26 @@ func (t *Tracker) WritePrometheus(w io.Writer) error {
 	return s.WritePrometheus(w)
 }
 
-// chromeEvent is one Chrome trace-event entry; per-core counter tracks
-// use one process per core ("C" events group by pid) so multicore
-// exports don't collapse into a single track.
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Ts   uint64            `json:"ts,omitempty"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	Args map[string]uint64 `json:"args,omitempty"`
-}
-
-type chromeMeta struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Pid  int               `json:"pid"`
-	Args map[string]string `json:"args"`
-}
-
 // WriteChromeTrace exports the windowed timeline as per-core Perfetto
-// counter tracks (load with ui.perfetto.dev). One process per core,
-// named; 1 simulated cycle = 1µs, matching the observatory convention.
+// counter tracks (load with ui.perfetto.dev): one named process per
+// core, so multicore exports don't collapse into a single track.
 func (s *Snapshot) WriteChromeTrace(w io.Writer) error {
-	events := make([]interface{}, 0, len(s.Windows)*2+s.Cores)
+	tf := expo.Trace{TraceEvents: make([]expo.Event, 0, len(s.Windows)*5+s.Cores)}
 	for c := 0; c < s.Cores; c++ {
-		events = append(events, chromeMeta{
-			Name: "process_name", Ph: "M", Pid: c + 1,
-			Args: map[string]string{"name": fmt.Sprintf("core%d interference", c)},
-		})
+		tf.TraceEvents = append(tf.TraceEvents, expo.ProcessName(c+1, fmt.Sprintf("core%d interference", c)))
 	}
 	for _, row := range s.Windows {
 		pid := row.Core + 1
-		events = append(events,
-			chromeEvent{Name: "llc_occupancy", Ph: "C", Ts: row.Cycle, Pid: pid, Tid: 1,
-				Args: map[string]uint64{"lines": row.OccLines}},
-			chromeEvent{Name: "evictions", Ph: "C", Ts: row.Cycle, Pid: pid, Tid: 1,
-				Args: map[string]uint64{"caused": row.EvCaused, "suffered": row.EvSuffered}},
-			chromeEvent{Name: "inflation", Ph: "C", Ts: row.Cycle, Pid: pid, Tid: 1,
-				Args: map[string]uint64{"inflicted": row.Inflicted, "pollution": row.Pollution}},
-			chromeEvent{Name: "dram", Ph: "C", Ts: row.Cycle, Pid: pid, Tid: 1,
-				Args: map[string]uint64{"reads": row.DRAMReads, "writes": row.DRAMWrites}},
-			chromeEvent{Name: "link", Ph: "C", Ts: row.Cycle, Pid: pid, Tid: 1,
-				Args: map[string]uint64{
-					"demand": row.LinkDemand, "prefetch": row.LinkPrefetch,
-					"suf": row.LinkSUF, "maintenance": row.LinkMaint,
-				}},
+		tf.TraceEvents = append(tf.TraceEvents,
+			expo.CounterEvent("llc_occupancy", row.Cycle, pid, 1, map[string]any{"lines": row.OccLines}),
+			expo.CounterEvent("evictions", row.Cycle, pid, 1, map[string]any{"caused": row.EvCaused, "suffered": row.EvSuffered}),
+			expo.CounterEvent("inflation", row.Cycle, pid, 1, map[string]any{"inflicted": row.Inflicted, "pollution": row.Pollution}),
+			expo.CounterEvent("dram", row.Cycle, pid, 1, map[string]any{"reads": row.DRAMReads, "writes": row.DRAMWrites}),
+			expo.CounterEvent("link", row.Cycle, pid, 1, map[string]any{
+				"demand": row.LinkDemand, "prefetch": row.LinkPrefetch,
+				"suf": row.LinkSUF, "maintenance": row.LinkMaint,
+			}),
 		)
 	}
-	doc := struct {
-		TraceEvents []interface{} `json:"traceEvents"`
-	}{TraceEvents: events}
-	return json.NewEncoder(w).Encode(doc)
+	return tf.Write(w)
 }

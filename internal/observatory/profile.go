@@ -1,12 +1,13 @@
 package observatory
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 	"sync"
 	"time"
+
+	"secpref/internal/expo"
 )
 
 // gapBuckets is the number of power-of-two histogram buckets for
@@ -316,11 +317,7 @@ func (p *Profile) export() profileJSON {
 }
 
 // WriteJSON writes the sim-profile table as an indented JSON envelope.
-func (p *Profile) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p.export())
-}
+func (p *Profile) WriteJSON(w io.Writer) error { return expo.WriteJSON(w, p.export()) }
 
 // WriteCSV writes the per-rank rows as CSV.
 func (p *Profile) WriteCSV(w io.Writer) error {
@@ -340,36 +337,12 @@ func (p *Profile) WriteCSV(w io.Writer) error {
 // WritePrometheus writes the attribution counters in Prometheus text
 // exposition format; they ride the campaign /metrics endpoint.
 func (p *Profile) WritePrometheus(w io.Writer) error {
-	single := func(name, typ, help string, v float64) error {
-		_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
-		return err
-	}
-	if err := single("secpref_sim_advances_total", "counter", "Engine advances (calendar jumps or lockstep steps).", float64(p.Advances)); err != nil {
-		return err
-	}
-	if err := single("secpref_sim_visited_cycles_total", "counter", "Cycles processed in rank order.", float64(p.VisitedCycles)); err != nil {
-		return err
-	}
-	if err := single("secpref_sim_skipped_cycles_total", "counter", "Idle cycles absorbed by gap skips.", float64(p.SkippedCycles)); err != nil {
-		return err
-	}
-	if err := single("secpref_sim_clamped_advances_total", "counter", "Advances clamped below the calendar's earliest wake.", float64(p.ClampedAdvances)); err != nil {
-		return err
-	}
-	if err := single("secpref_sim_skip_efficiency", "gauge", "Fraction of simulated cycles absorbed by gap skips.", p.SkipEfficiency()); err != nil {
-		return err
-	}
-	perRank := func(name, help string, get func(*RankProfile) uint64) error {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name); err != nil {
-			return err
-		}
-		for i := range p.Ranks {
-			r := &p.Ranks[i]
-			if _, err := fmt.Fprintf(w, "%s{rank=%q} %d\n", name, r.Name, get(r)); err != nil {
-				return err
-			}
-		}
-		return nil
+	fams := []expo.Family{
+		expo.Single("secpref_sim_advances_total", expo.Counter, "Engine advances (calendar jumps or lockstep steps).", float64(p.Advances)),
+		expo.Single("secpref_sim_visited_cycles_total", expo.Counter, "Cycles processed in rank order.", float64(p.VisitedCycles)),
+		expo.Single("secpref_sim_skipped_cycles_total", expo.Counter, "Idle cycles absorbed by gap skips.", float64(p.SkippedCycles)),
+		expo.Single("secpref_sim_clamped_advances_total", expo.Counter, "Advances clamped below the calendar's earliest wake.", float64(p.ClampedAdvances)),
+		expo.Single("secpref_sim_skip_efficiency", expo.Gauge, "Fraction of simulated cycles absorbed by gap skips.", p.SkipEfficiency()),
 	}
 	for _, m := range []struct {
 		name, help string
@@ -385,51 +358,47 @@ func (p *Profile) WritePrometheus(w io.Writer) error {
 		{"secpref_sim_rank_wall_ns_total", "Sampled wall nanoseconds inside Tick.", func(r *RankProfile) uint64 { return r.WallNs }},
 		{"secpref_sim_rank_wall_samples_total", "Wall-timed Tick samples.", func(r *RankProfile) uint64 { return r.WallSamples }},
 	} {
-		if err := perRank(m.name, m.help, m.get); err != nil {
-			return err
+		f := expo.Family{Name: m.name, Help: m.help, Type: expo.Counter}
+		for i := range p.Ranks {
+			f.Add(float64(m.get(&p.Ranks[i])), "rank", p.Ranks[i].Name)
 		}
+		fams = append(fams, f)
 	}
-	return nil
+	return expo.WritePrometheus(w, fams...)
 }
 
 // WriteChromeTrace writes the sampled counter tracks as Chrome
-// trace-event JSON ("C" phase counter events, 1 simulated cycle = 1
-// µs — the same timebase as the request-lifecycle tracer, so both load
-// side by side in Perfetto).
+// trace-event counter events on the request-lifecycle tracer's
+// timebase, so both load side by side in Perfetto.
 func (p *Profile) WriteChromeTrace(w io.Writer, label string) error {
-	type counterEvent struct {
-		Name string            `json:"name"`
-		Ph   string            `json:"ph"`
-		Ts   uint64            `json:"ts"`
-		Pid  int               `json:"pid"`
-		Tid  int               `json:"tid"`
-		Args map[string]uint64 `json:"args"`
-	}
-	type traceFile struct {
-		TraceEvents []counterEvent `json:"traceEvents"`
-		OtherData   map[string]any `json:"otherData"`
-	}
-	tf := traceFile{
-		TraceEvents: []counterEvent{},
-		OtherData: map[string]any{
-			"label":          label,
-			"engine_version": p.EngineVersion,
-		},
-	}
+	tf := expo.Trace{OtherData: map[string]any{
+		"label":          label,
+		"engine_version": p.EngineVersion,
+	}}
 	for _, pt := range p.Track {
-		args := make(map[string]uint64, len(pt.Ticks))
+		args := make(map[string]any, len(pt.Ticks))
 		for i, t := range pt.Ticks {
 			if i < len(p.Ranks) {
 				args[p.Ranks[i].Name] = t
 			}
 		}
 		tf.TraceEvents = append(tf.TraceEvents,
-			counterEvent{Name: "rank ticks", Ph: "C", Ts: pt.Cycle, Pid: 1, Tid: 1, Args: args},
-			counterEvent{Name: "skipped cycles", Ph: "C", Ts: pt.Cycle, Pid: 1, Tid: 1,
-				Args: map[string]uint64{"skipped": pt.SkippedCycles}})
+			expo.CounterEvent("rank ticks", pt.Cycle, 1, 1, args),
+			expo.CounterEvent("skipped cycles", pt.Cycle, 1, 1, map[string]any{"skipped": pt.SkippedCycles}))
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(tf)
+	return tf.Write(w)
+}
+
+// WriteFiles writes the sim-profile table as base.json and base.csv,
+// plus the counter tracks as base.trace.json when the run sampled any
+// (tracks ride the window and digest cadence); label names the run in
+// the trace.
+func (p *Profile) WriteFiles(base, label string) error {
+	files := []expo.File{{Suffix: ".json", Emit: p.WriteJSON}, {Suffix: ".csv", Emit: p.WriteCSV}}
+	if len(p.Track) > 0 {
+		files = append(files, expo.File{Suffix: ".trace.json", Emit: func(w io.Writer) error { return p.WriteChromeTrace(w, label) }})
+	}
+	return expo.WriteFiles(base, files...)
 }
 
 // String renders a compact human-readable table (stderr summaries).
@@ -476,27 +445,9 @@ func (a *Aggregate) Snapshot() Profile {
 	return cp
 }
 
-// WriteJSON writes the aggregated sim-profile table as JSON.
-func (a *Aggregate) WriteJSON(w io.Writer) error {
-	s := a.Snapshot()
-	return s.WriteJSON(w)
-}
-
-// WriteCSV writes the aggregated per-rank rows as CSV.
-func (a *Aggregate) WriteCSV(w io.Writer) error {
-	s := a.Snapshot()
-	return s.WriteCSV(w)
-}
-
 // WritePrometheus writes the aggregated counters in Prometheus text
 // format (rides probe.NewHandler's /metrics endpoint).
 func (a *Aggregate) WritePrometheus(w io.Writer) error {
 	s := a.Snapshot()
 	return s.WritePrometheus(w)
-}
-
-// String renders the aggregated table.
-func (a *Aggregate) String() string {
-	s := a.Snapshot()
-	return s.String()
 }

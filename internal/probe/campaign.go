@@ -2,11 +2,12 @@ package probe
 
 import (
 	"expvar"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"secpref/internal/expo"
 )
 
 // Campaign aggregates live telemetry for a long experiment campaign:
@@ -121,33 +122,20 @@ func (c *Campaign) Snapshot() Snapshot {
 // format (counters as *_total, gauges bare).
 func (c *Campaign) WritePrometheus(w io.Writer) error {
 	s := c.Snapshot()
-	write := func(name, typ, help string, v float64) error {
-		_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
-		return err
-	}
-	for _, m := range []struct {
-		name, typ, help string
-		v               float64
-	}{
-		{"secpref_runs_started_total", "counter", "Simulations started.", float64(s.RunsStarted)},
-		{"secpref_runs_completed_total", "counter", "Simulations completed.", float64(s.RunsDone)},
-		{"secpref_runs_failed_total", "counter", "Simulations failed.", float64(s.RunsFailed)},
-		{"secpref_instructions_total", "counter", "Instructions retired across completed runs.", float64(s.Instructions)},
-		{"secpref_cycles_total", "counter", "Cycles simulated across completed runs.", float64(s.Cycles)},
-		{"secpref_experiments_completed_total", "counter", "Experiment ids completed.", float64(s.ExperimentsDone)},
-		{"secpref_campaign_uptime_seconds", "gauge", "Seconds since the campaign started.", s.UptimeSeconds},
-		{"secpref_instructions_per_second", "gauge", "Campaign-average simulated instruction throughput.", s.InstrsPerSec},
-	} {
-		if err := write(m.name, m.typ, m.help, m.v); err != nil {
-			return err
-		}
+	fams := []expo.Family{
+		expo.Single("secpref_runs_started_total", expo.Counter, "Simulations started.", float64(s.RunsStarted)),
+		expo.Single("secpref_runs_completed_total", expo.Counter, "Simulations completed.", float64(s.RunsDone)),
+		expo.Single("secpref_runs_failed_total", expo.Counter, "Simulations failed.", float64(s.RunsFailed)),
+		expo.Single("secpref_instructions_total", expo.Counter, "Instructions retired across completed runs.", float64(s.Instructions)),
+		expo.Single("secpref_cycles_total", expo.Counter, "Cycles simulated across completed runs.", float64(s.Cycles)),
+		expo.Single("secpref_experiments_completed_total", expo.Counter, "Experiment ids completed.", float64(s.ExperimentsDone)),
+		expo.Single("secpref_campaign_uptime_seconds", expo.Gauge, "Seconds since the campaign started.", s.UptimeSeconds),
+		expo.Single("secpref_instructions_per_second", expo.Gauge, "Campaign-average simulated instruction throughput.", s.InstrsPerSec),
 	}
 	if s.EngineVersion != "" {
-		if _, err := fmt.Fprintf(w, "# HELP secpref_engine_info Simulation-engine version in use.\n# TYPE secpref_engine_info gauge\nsecpref_engine_info{version=%q} 1\n", s.EngineVersion); err != nil {
-			return err
-		}
+		fams = append(fams, expo.Single("secpref_engine_info", expo.Gauge, "Simulation-engine version in use.", 1, "version", s.EngineVersion))
 	}
-	return nil
+	return expo.WritePrometheus(w, fams...)
 }
 
 // expvar publication is process-global and append-only, so the package

@@ -1,9 +1,12 @@
 package probe
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"path/filepath"
+	"strings"
+
+	"secpref/internal/expo"
 )
 
 // IntervalSampler records the cumulative Sample the driver hands it at
@@ -115,9 +118,19 @@ type series struct {
 // cumulative snapshots) as indented JSON. Label and trace name the run
 // in the envelope; empty strings are omitted.
 func (s *IntervalSampler) WriteJSON(w io.Writer, label, trace string) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(series{Label: label, Trace: trace, Intervals: s.Rows(), Samples: s.samples})
+	return expo.WriteJSON(w, series{Label: label, Trace: trace, Intervals: s.Rows(), Samples: s.samples})
+}
+
+// WriteRunFiles exports one run's time series and lifecycle trace into
+// dir as <trace>__<label>.series.json, .series.csv and .trace.json, and
+// returns the files' common base path.
+func WriteRunFiles(dir, traceName, label string, s *IntervalSampler, tr *Tracer) (string, error) {
+	base := filepath.Join(dir, traceName+"__"+expo.FileLabel(label))
+	return base, expo.WriteFiles(base,
+		expo.File{Suffix: ".series.json", Emit: func(w io.Writer) error { return s.WriteJSON(w, label, traceName) }},
+		expo.File{Suffix: ".series.csv", Emit: s.WriteCSV},
+		expo.File{Suffix: ".trace.json", Emit: func(w io.Writer) error { return tr.WriteChromeTrace(w, traceName+" "+label) }},
+	)
 }
 
 // csvHeader lists the WriteCSV columns in order.
@@ -129,17 +142,7 @@ var csvHeader = []string{
 
 // WriteCSV writes the derived per-interval rows as CSV.
 func (s *IntervalSampler) WriteCSV(w io.Writer) error {
-	for i, h := range csvHeader {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, h); err != nil {
-			return err
-		}
-	}
-	if _, err := io.WriteString(w, "\n"); err != nil {
+	if _, err := io.WriteString(w, strings.Join(csvHeader, ",")+"\n"); err != nil {
 		return err
 	}
 	for _, r := range s.Rows() {

@@ -1,10 +1,11 @@
 package probe
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+
+	"secpref/internal/expo"
 )
 
 // Tracer records sampled request-lifecycle event chains — issue → GM
@@ -73,26 +74,6 @@ func (t *Tracer) Events() []Event {
 // filled.
 func (t *Tracer) Dropped() uint64 { return t.dropped }
 
-// chromeEvent is one entry of the Chrome trace-event JSON format, which
-// Perfetto and chrome://tracing both load. Timestamps are in
-// "microseconds"; the tracer maps one core cycle to one microsecond.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    uint64         `json:"ts"`
-	Dur   uint64         `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent  `json:"traceEvents"`
-	DisplayTimeUnit string         `json:"displayTimeUnit"`
-	OtherData       map[string]any `json:"otherData,omitempty"`
-}
-
 // WriteChromeTrace exports the ring as Chrome trace-event JSON: one
 // process (pid) per core, one lane (tid) per site within it, an
 // instant event per recorded occurrence, and a duration span per
@@ -100,12 +81,13 @@ type chromeTrace struct {
 // shows each load's walk down the hierarchy. Single-core runs collapse
 // to one process (core 0); multicore exports get one named process row
 // per core instead of interleaving every core into the same track.
+// One core cycle is one microsecond of trace time.
 func (t *Tracer) WriteChromeTrace(w io.Writer, label string) error {
 	evs := t.Events()
-	out := chromeTrace{
+	out := expo.Trace{
 		DisplayTimeUnit: "ns",
 		OtherData:       map[string]any{"label": label, "time_unit": "1 core cycle = 1us", "dropped_events": t.dropped},
-		TraceEvents:     make([]chromeEvent, 0, len(evs)+NumSites),
+		TraceEvents:     make([]expo.Event, 0, len(evs)+NumSites),
 	}
 	seen := map[int]bool{}
 	var cores []int
@@ -120,15 +102,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer, label string) error {
 	}
 	sort.Ints(cores)
 	for _, c := range cores {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "process_name", Phase: "M", PID: c,
-			Args: map[string]any{"name": fmt.Sprintf("core%d", c)},
-		})
+		out.TraceEvents = append(out.TraceEvents, expo.ProcessName(c, fmt.Sprintf("core%d", c)))
 		for s := 0; s < NumSites; s++ {
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "thread_name", Phase: "M", PID: c, TID: s,
-				Args: map[string]any{"name": Site(s).String()},
-			})
+			out.TraceEvents = append(out.TraceEvents, expo.ThreadName(c, s, Site(s).String()))
 		}
 	}
 	issued := make(map[uint64]Event, 64) // seq -> core issue event
@@ -141,56 +117,45 @@ func (t *Tracer) WriteChromeTrace(w io.Writer, label string) error {
 		}
 		if ev.Kind == EvFill && ev.Site == SiteCore {
 			if is, ok := issued[ev.Seq]; ok {
-				dur := uint64(ev.Cycle - is.Cycle)
-				if dur == 0 {
-					dur = 1
-				}
-				out.TraceEvents = append(out.TraceEvents, chromeEvent{
-					Name: fmt.Sprintf("load seq=%d", ev.Seq), Phase: "X",
-					TS: uint64(is.Cycle), Dur: dur, PID: ev.Core, TID: int(SiteCore),
-					Args: map[string]any{"line": fmt.Sprintf("%#x", uint64(ev.Line)), "served_by": ev.Level.String()},
-				})
+				out.TraceEvents = append(out.TraceEvents, expo.Complete(
+					fmt.Sprintf("load seq=%d", ev.Seq), uint64(is.Cycle), uint64(ev.Cycle-is.Cycle), ev.Core, int(SiteCore),
+					map[string]any{"line": fmt.Sprintf("%#x", uint64(ev.Line)), "served_by": ev.Level.String()}))
 				delete(issued, ev.Seq)
 				continue
 			}
 		}
-		ce := chromeEvent{
-			Name:  fmt.Sprintf("%s %s", ev.Site, ev.Kind),
-			Phase: "i", Scope: "t",
-			TS: uint64(ev.Cycle), PID: ev.Core, TID: int(ev.Site),
-			Args: map[string]any{
-				"seq":  ev.Seq,
-				"line": fmt.Sprintf("%#x", uint64(ev.Line)),
-				"kind": ev.Req.String(),
-			},
+		args := map[string]any{
+			"seq":  ev.Seq,
+			"line": fmt.Sprintf("%#x", uint64(ev.Line)),
+			"kind": ev.Req.String(),
 		}
 		if ev.Spec {
-			ce.Args["spec"] = true
+			args["spec"] = true
 		}
 		switch ev.Kind {
 		case EvAccess:
-			ce.Args["hit"] = ev.Hit
+			args["hit"] = ev.Hit
 		case EvFill:
-			ce.Args["latency"] = ev.Aux
+			args["latency"] = ev.Aux
 		case EvCommit:
-			ce.Args["hit_level"] = ev.Level.String()
+			args["hit_level"] = ev.Level.String()
 			if ev.Site == SiteGM {
-				ce.Args["outcome"] = commitOutcomeName(ev.Aux)
+				args["outcome"] = commitOutcomeName(ev.Aux)
 			}
 		case EvDrop:
-			ce.Args["reason"] = dropReasonName(ev.Aux)
+			args["reason"] = dropReasonName(ev.Aux)
 		case EvSUF:
-			ce.Args["drop"] = ev.Hit
-			ce.Args["wb_bits"] = ev.Aux
+			args["drop"] = ev.Hit
+			args["wb_bits"] = ev.Aux
 		case EvTrain:
-			ce.Args["hit"] = ev.Hit
+			args["hit"] = ev.Hit
 		case EvSquash:
-			ce.Args["from_seq"] = ev.Seq
+			args["from_seq"] = ev.Seq
 		}
-		out.TraceEvents = append(out.TraceEvents, ce)
+		out.TraceEvents = append(out.TraceEvents,
+			expo.Instant(fmt.Sprintf("%s %s", ev.Site, ev.Kind), uint64(ev.Cycle), ev.Core, int(ev.Site), args))
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return out.Write(w)
 }
 
 func commitOutcomeName(a uint64) string {
