@@ -14,6 +14,7 @@ import (
 
 	"secpref"
 	"secpref/internal/experiments"
+	"secpref/internal/multicore"
 	"secpref/internal/sim"
 	"secpref/internal/trace"
 	"secpref/internal/workload"
@@ -68,20 +69,10 @@ func BenchmarkFig15(b *testing.B)  { benchExperiment(b, "fig15") }
 func BenchmarkSUFAcc(b *testing.B) { benchExperiment(b, "suf-accuracy") }
 
 // BenchmarkSimulatorThroughput measures simulated instructions per
-// second of the full secure system with TSB+SUF — the heaviest
-// single-core configuration.
+// second of the single-core scenario (TestSingleScenario): the full
+// secure system with TSB+SUF, the heaviest single-core configuration.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	tr, err := workload.Get("602.gcc-1850B", workload.Params{Instrs: 50_000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.DefaultConfig()
-	cfg.WarmupInstrs = 0
-	cfg.MaxInstrs = 50_000
-	cfg.Secure = true
-	cfg.SUF = true
-	cfg.Prefetcher = "berti"
-	cfg.Mode = sim.ModeTimelySecure
+	cfg, tr := singleScenario(b)
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
@@ -92,6 +83,38 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		total += int(res.Instructions)
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "instrs/s")
+}
+
+// BenchmarkMulticoreThroughput measures simulated instructions per
+// second, summed over cores, of the 4-core scenario
+// (TestMulticoreScenario) on the serial lockstep reference, the
+// barrier-parallel engine, and the parallel engine with the observed
+// flavour's observers attached.
+func BenchmarkMulticoreThroughput(b *testing.B) {
+	cfg, trs := multicoreScenario(b)
+	for _, fl := range []struct {
+		name   string
+		probes func() multicore.Probes
+	}{
+		{"lockstep", func() multicore.Probes { return multicore.Probes{ReferenceEngine: true} }},
+		{"parallel", func() multicore.Probes { return multicore.Probes{} }},
+		{"observed", func() multicore.Probes { return mcObservedProbes(cfg.Cores) }},
+	} {
+		b.Run(fl.name, func(b *testing.B) {
+			b.ReportAllocs()
+			total := 0
+			for i := 0; i < b.N; i++ {
+				res, err := multicore.RunProbed(cfg, sources(trs), fl.probes())
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, c := range res.PerCore {
+					total += int(c.Instructions)
+				}
+			}
+			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "instrs/s")
+		})
+	}
 }
 
 // BenchmarkTraceGeneration measures synthetic workload generation.

@@ -47,14 +47,14 @@ func (r *Runner) Fig15() (*Table, error) {
 		wg.Add(1)
 		go func(i int, mix []string) {
 			defer wg.Done()
-			base, err := r.runMix(baseNonSecure(), mix)
+			base, err := r.runMix(baseNonSecure(), mix, false)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			vals := make([]float64, len(variants))
 			for j, v := range variants {
-				res, err := r.runMix(v, mix)
+				res, err := r.runMix(v, mix, false)
 				if err != nil {
 					errs[i] = err
 					return
@@ -94,18 +94,27 @@ func (r *Runner) Fig15() (*Table, error) {
 	return t, nil
 }
 
-// runMix simulates one 4-core mix under variant v.
-func (r *Runner) runMix(v cfgVariant, names []string) (*multicore.Result, error) {
+// runMix simulates one multicore mix under variant v, one core per
+// trace name. consolidation selects the interference study's setup:
+// the interference observatory attached and the shared LLC shrunk to a
+// 32 KiB bank per core, because campaign instruction budgets are
+// ~1000x smaller than the paper's and a full-size 2 MB bank would
+// never evict within them, leaving the attribution matrix vacuously
+// empty.
+func (r *Runner) runMix(v cfgVariant, names []string, consolidation bool) (*multicore.Result, error) {
 	cfg := multicore.Config{Single: v.config(r.opts), Cores: len(names)}
 	// Multi-core runs use a reduced per-core budget so a campaign of
 	// many mixes stays tractable.
 	cfg.Single.MaxInstrs = r.opts.Instrs / 2
 	cfg.Single.WarmupInstrs = r.opts.Warmup / 2
+	probes := multicore.Probes{Interference: consolidation}
+	if consolidation {
+		cfg.Single.LLC.SizeKiB = 32
+	}
 	mix, err := r.mixSources(names)
 	if err != nil {
 		return nil, err
 	}
-	var probes multicore.Probes
 	if r.opts.Profile != nil {
 		probes.Profile = observatory.NewProfile()
 	}

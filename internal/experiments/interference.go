@@ -8,7 +8,6 @@ import (
 
 	"secpref/internal/expo"
 	"secpref/internal/interference"
-	"secpref/internal/multicore"
 )
 
 // interferenceCoreCounts are the consolidation points of the study:
@@ -37,25 +36,6 @@ func (r *Runner) tenantMix(n int) []string {
 	return mix
 }
 
-// runConsolidation simulates one tenant mix with the interference
-// observatory attached. The shared LLC is shrunk to a 32 KiB bank per
-// core: campaign instruction budgets are ~1000x smaller than the
-// paper's, and a full-size 2 MB bank would never evict within them,
-// leaving the attribution matrix vacuously empty.
-func (r *Runner) runConsolidation(v cfgVariant, names []string) (*multicore.Result, error) {
-	cfg := multicore.Config{Single: v.config(r.opts), Cores: len(names)}
-	cfg.Single.MaxInstrs = r.opts.Instrs / 2
-	cfg.Single.WarmupInstrs = r.opts.Warmup / 2
-	cfg.Single.LLC.SizeKiB = 32
-	mix, err := r.mixSources(names)
-	if err != nil {
-		return nil, err
-	}
-	return account(r.opts.Campaign, func() (*multicore.Result, error) {
-		return multicore.RunProbed(cfg, mix, multicore.Probes{Interference: true})
-	}, mixWork)
-}
-
 // ConsolidationInterference runs the cross-core interference study:
 // who hurt whom through the shared cache, at 4/8/16-core consolidation
 // levels, secure vs non-secure. Each run contributes its top
@@ -74,7 +54,7 @@ func (r *Runner) ConsolidationInterference() (*Table, error) {
 	for _, cores := range interferenceCoreCounts {
 		names := r.tenantMix(cores)
 		for _, v := range interferenceVariants() {
-			res, err := r.runConsolidation(v, names)
+			res, err := r.runMix(v, names, true)
 			if err != nil {
 				return nil, fmt.Errorf("consolidation-interference %d-core %s: %w", cores, v.label, err)
 			}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"secpref/internal/expo"
+	"secpref/internal/observatory"
 	"secpref/internal/probe"
 )
 
@@ -138,7 +139,7 @@ func TestFig15CampaignAccounting(t *testing.T) {
 	var want uint64
 	ref := NewRunner(opts)
 	for _, v := range append([]cfgVariant{baseNonSecure()}, fig15Variants()...) {
-		res, err := ref.runMix(v, ref.randomMixes()[0])
+		res, err := ref.runMix(v, ref.randomMixes()[0], false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,5 +149,26 @@ func TestFig15CampaignAccounting(t *testing.T) {
 	}
 	if snap.Instructions != want {
 		t.Errorf("fig15 instructions = %d, want %d summed over every core", snap.Instructions, want)
+	}
+}
+
+// A consolidation run feeds the campaign's sim-profile aggregate like
+// every other run (the study once ran unprofiled, so -simprofile wrote
+// an empty aggregate for it).
+func TestConsolidationProfiled(t *testing.T) {
+	opts := QuickOptions()
+	opts.Instrs = 4000
+	opts.Warmup = 1000
+	opts.Profile = observatory.NewAggregate()
+	r := NewRunner(opts)
+	if _, err := r.runMix(interferenceVariants()[0], r.tenantMix(4), true); err != nil {
+		t.Fatal(err)
+	}
+	var ticks uint64
+	for _, rk := range opts.Profile.Snapshot().Ranks {
+		ticks += rk.Ticks
+	}
+	if ticks == 0 {
+		t.Fatal("consolidation-interference aggregated no engine ticks")
 	}
 }

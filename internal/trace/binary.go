@@ -100,44 +100,53 @@ func Write(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// Read decodes a full trace from r.
+// maxPrealloc caps the records Read reserves up front (128 KiB): the
+// header's count is untrusted until the records behind it have been
+// read, so a short stream claiming billions of records must not
+// reserve gigabytes. Longer traces grow by append.
+const maxPrealloc = 1 << 12
+
+// Read decodes a full trace from r. Every failure to decode one (bad
+// magic, an implausible count, a truncated stream, an overlong varint,
+// a failing reader) returns an error that wraps ErrBadTrace and the
+// read error behind it, if any.
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	if err := readFull(br, m[:], "magic"); err != nil {
+		return nil, err
 	}
 	if m != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, m[:])
 	}
 	var hdr [2]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
+	if err := readFull(br, hdr[:], "header"); err != nil {
+		return nil, err
 	}
 	nameLen := binary.LittleEndian.Uint16(hdr[:])
 	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
+	if err := readFull(br, name, "name"); err != nil {
+		return nil, err
 	}
 	var cnt [8]byte
-	if _, err := io.ReadFull(br, cnt[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading count: %w", err)
+	if err := readFull(br, cnt[:], "count"); err != nil {
+		return nil, err
 	}
 	count := binary.LittleEndian.Uint64(cnt[:])
 	const maxReasonable = 1 << 32
 	if count > maxReasonable {
 		return nil, fmt.Errorf("%w: implausible instruction count %d", ErrBadTrace, count)
 	}
-	t := &Trace{Name: string(name), Instrs: make([]Instr, 0, count)}
+	t := &Trace{Name: string(name), Instrs: make([]Instr, 0, min(count, maxPrealloc))}
 	prevIP := uint64(0)
 	for i := uint64(0); i < count; i++ {
 		flags, err := br.ReadByte()
 		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
+			return nil, badRecord(i, "flags", err)
 		}
 		d, err := binary.ReadVarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("trace: record %d ip: %w", i, err)
+			return nil, badRecord(i, "ip", err)
 		}
 		prevIP += uint64(d)
 		in := Instr{
@@ -149,18 +158,34 @@ func Read(r io.Reader) (*Trace, error) {
 		if flags&flagLoad != 0 {
 			v, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, fmt.Errorf("trace: record %d load: %w", i, err)
+				return nil, badRecord(i, "load", err)
 			}
 			in.Load = mem.Addr(v)
 		}
 		if flags&flagStore != 0 {
 			v, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, fmt.Errorf("trace: record %d store: %w", i, err)
+				return nil, badRecord(i, "store", err)
 			}
 			in.Store = mem.Addr(v)
 		}
 		t.Instrs = append(t.Instrs, in)
 	}
 	return t, nil
+}
+
+// readFull fills b from r; a stream that ends first is malformed.
+func readFull(r io.Reader, b []byte, what string) error {
+	if _, err := io.ReadFull(r, b); err != nil {
+		return fmt.Errorf("%w: reading %s: %w", ErrBadTrace, what, err)
+	}
+	return nil
+}
+
+// badRecord wraps a failure to decode one field of record i.
+func badRecord(i uint64, field string, err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("%w: record %d %s: %w", ErrBadTrace, i, field, err)
 }

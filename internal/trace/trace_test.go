@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -57,8 +60,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsBadMagic(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("NOTATRACE-------"))); err == nil {
-		t.Fatal("expected bad-magic error")
+	if _, err := Read(bytes.NewReader([]byte("NOTATRACE-------"))); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("bad magic: error %v, want ErrBadTrace", err)
 	}
 }
 
@@ -69,11 +72,56 @@ func TestReadRejectsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	for _, cut := range []int{5, 9, 12, len(raw) / 2, len(raw) - 1} {
-		if _, err := Read(bytes.NewReader(raw[:cut])); err == nil {
-			t.Errorf("expected error for truncation at %d", cut)
+	for cut := 0; cut < len(raw); cut++ {
+		if _, err := Read(bytes.NewReader(raw[:cut])); !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("truncation at %d of %d bytes: error %v, want ErrBadTrace", cut, len(raw), err)
 		}
 	}
+}
+
+// A short stream whose header claims millions of records must fail
+// without reserving room for them (1<<22 records would be 128 MiB).
+func TestReadHugeCountAllocatesLittle(t *testing.T) {
+	hdr := append([]byte("SECPREF1\x04\x00huge"), make([]byte, 8)...)
+	binary.LittleEndian.PutUint64(hdr[len(hdr)-8:], 1<<22)
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	_, err := Read(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&ms1)
+	if !errors.Is(err, ErrBadTrace) {
+		t.Errorf("%d-byte header then EOF: error %v, want ErrBadTrace", len(hdr), err)
+	}
+	if n := ms1.TotalAlloc - ms0.TotalAlloc; n >= 1<<20 {
+		t.Errorf("reading a %d-byte stream allocated %d bytes", len(hdr), n)
+	}
+}
+
+// FuzzTraceReader feeds arbitrary bytes to Read: it must never panic,
+// every error must wrap ErrBadTrace, and a stream it accepts must
+// survive a Write/Read round trip unchanged. The seed corpus
+// (testdata/fuzz/FuzzTraceReader) holds a valid trace and one stream
+// per malformation Read rejects.
+func FuzzTraceReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("error %v does not wrap ErrBadTrace", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := Write(&out, tr); err != nil {
+			t.Fatalf("re-encoding an accepted trace: %v", err)
+		}
+		got, err := Read(&out)
+		if err != nil {
+			t.Fatalf("reading a re-encoded trace: %v", err)
+		}
+		if got.Name != tr.Name || !reflect.DeepEqual(got.Instrs, tr.Instrs) {
+			t.Fatal("accepted trace changed in a Write/Read round trip")
+		}
+	})
 }
 
 func TestSourceIteration(t *testing.T) {
