@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -136,6 +137,33 @@ func TestGetMemoizes(t *testing.T) {
 	}
 	if a == c {
 		t.Error("Evict should clear the cache")
+	}
+}
+
+// TestGetConcurrentCallersShareOneTrace: callers of one key that race
+// on an empty cache must all get the one trace generated for it.
+func TestGetConcurrentCallersShareOneTrace(t *testing.T) {
+	Evict()
+	defer Evict()
+	p := Params{Instrs: 2000, Seed: 3}
+	got := make([]*trace.Trace, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := Get("bfs-3B", p)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = tr
+		}()
+	}
+	wg.Wait()
+	for i, tr := range got {
+		if tr == nil || tr != got[0] {
+			t.Errorf("caller %d got trace %p, caller 0 got %p", i, tr, got[0])
+		}
 	}
 }
 
